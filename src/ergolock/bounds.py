@@ -3,19 +3,18 @@ ceiling, plus the infinite-bath limit of the locked energy."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .bath import BathSpec, bath_ensemble
 from .ergotropy import ergotropy_product
 from .spectra import (
-    DEFAULT_EXPANSION_CAP,
     DensityOperator,
     DiagonalHamiltonian,
-    compensated_dot,
     eigens,
     free_energy,
     gibbs_ensemble,
     shannon_entropy,
+    state_free_energy,
 )
 from .weight import WeightModel, control_marginal
 
@@ -49,20 +48,7 @@ class BoundReport:
             raise ValueError("resource ergotropy exceeds the free-energy bound")
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "tight_bound": self.tight_bound,
-            "resource_ergotropy": self.resource_ergotropy,
-            "locked_energy": self.locked_energy,
-            "free_energy_bound": self.free_energy_bound,
-            "thermo_limit_locked": self.thermo_limit_locked,
-        }
-
-
-def _marginal_free_energy(
-    rho: DensityOperator, hamiltonian: DiagonalHamiltonian, temperature: float
-) -> float:
-    energy = compensated_dot(rho.diagonal(), hamiltonian.energies)
-    return energy - temperature * shannon_entropy(eigens(rho))
+        return asdict(self)
 
 
 def free_energy_bound(
@@ -72,7 +58,7 @@ def free_energy_bound(
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     thermal = gibbs_ensemble(hamiltonian, 1.0 / temperature)
-    return _marginal_free_energy(rho, hamiltonian, temperature) - free_energy(thermal, temperature)
+    return state_free_energy(rho, hamiltonian, temperature) - free_energy(thermal, temperature)
 
 
 def tight_bound(
@@ -80,12 +66,11 @@ def tight_bound(
     hamiltonian: DiagonalHamiltonian,
     weight: WeightModel,
     bath: BathSpec,
-    cap: int = DEFAULT_EXPANSION_CAP,
 ) -> float:
     """Optimal extractable work: joint ergotropy of the weight-averaged
     system state with the bath. Weight-independent for diagonal states."""
     sigma = control_marginal(rho, hamiltonian, weight)
-    return ergotropy_product(sigma, hamiltonian, bath_ensemble(bath), cap)
+    return ergotropy_product(sigma, hamiltonian, bath_ensemble(bath))
 
 
 def locked_energy(
@@ -93,13 +78,13 @@ def locked_energy(
     hamiltonian: DiagonalHamiltonian,
     weight: WeightModel,
     bath: BathSpec,
-    cap: int = DEFAULT_EXPANSION_CAP,
 ) -> float:
     """Coherence energy this weight cannot extract: resource minus tight."""
-    ensemble = bath_ensemble(bath)
-    resource = ergotropy_product(rho, hamiltonian, ensemble, cap)
-    sigma = control_marginal(rho, hamiltonian, weight)
-    return resource - ergotropy_product(sigma, hamiltonian, ensemble, cap)
+    return bound_report(rho, hamiltonian, weight, bath).locked_energy
+
+
+def _entropy_gap(rho: DensityOperator, sigma: DensityOperator, temperature: float) -> float:
+    return temperature * (shannon_entropy(eigens(sigma)) - shannon_entropy(eigens(rho)))
 
 
 def thermo_limit_locked(
@@ -118,8 +103,7 @@ def thermo_limit_locked(
     """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    sigma = control_marginal(rho, hamiltonian, weight)
-    return temperature * (shannon_entropy(eigens(sigma)) - shannon_entropy(eigens(rho)))
+    return _entropy_gap(rho, control_marginal(rho, hamiltonian, weight), temperature)
 
 
 def bound_report(
@@ -127,7 +111,6 @@ def bound_report(
     hamiltonian: DiagonalHamiltonian,
     weight: WeightModel,
     bath: BathSpec,
-    cap: int = DEFAULT_EXPANSION_CAP,
 ) -> BoundReport:
     """Evaluate the full bound chain at one parameter point.
 
@@ -137,13 +120,12 @@ def bound_report(
     """
     sigma = control_marginal(rho, hamiltonian, weight)
     ensemble = bath_ensemble(bath)
-    resource = ergotropy_product(rho, hamiltonian, ensemble, cap)
-    tight = ergotropy_product(sigma, hamiltonian, ensemble, cap)
-    thermo = bath.T * (shannon_entropy(eigens(sigma)) - shannon_entropy(eigens(rho)))
+    resource = ergotropy_product(rho, hamiltonian, ensemble)
+    tight = ergotropy_product(sigma, hamiltonian, ensemble)
     return BoundReport(
         tight_bound=tight,
         resource_ergotropy=resource,
         locked_energy=resource - tight,
         free_energy_bound=free_energy_bound(rho, hamiltonian, bath.T),
-        thermo_limit_locked=thermo,
+        thermo_limit_locked=_entropy_gap(rho, sigma, bath.T),
     )

@@ -15,10 +15,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
+from .bath import BathSpec
 from .bounds import BoundReport, bound_report
 from .config import ConfigError, ExperimentConfig, load_config
 from .spectra import SizeCapError
 from .verify import run_verification
+from .weight import WeightModel
 
 CSV_COLUMNS = (
     "sweep_parameter",
@@ -43,26 +45,16 @@ class SweepRow:
     wall_time_ms: float
 
 
-def _evaluate_point(config: ExperimentConfig, parameter: str, value: float) -> SweepRow:
+def _evaluate_point(
+    config: ExperimentConfig, parameter: str, value: float, point: tuple[WeightModel, BathSpec]
+) -> SweepRow:
     start = time.perf_counter()
+    report, error = None, None
     try:
-        if parameter == "N":
-            report = bound_report(
-                config.state, config.hamiltonian, config.weight_model(), config.bath_spec(int(value))
-            )
-        elif parameter == "sigma_over_omega":
-            report = bound_report(
-                config.state, config.hamiltonian, config.weight_model(value), config.bath_spec()
-            )
-        else:
-            report = bound_report(
-                config.state, config.hamiltonian, config.weight_model(), config.bath_spec()
-            )
+        report = bound_report(config.state, config.hamiltonian, *point)
     except SizeCapError:
-        elapsed = (time.perf_counter() - start) * 1e3
-        return SweepRow(parameter, value, None, SIZE_CAP_MARKER, elapsed)
-    elapsed = (time.perf_counter() - start) * 1e3
-    return SweepRow(parameter, value, report, None, elapsed)
+        error = SIZE_CAP_MARKER
+    return SweepRow(parameter, value, report, error, (time.perf_counter() - start) * 1e3)
 
 
 def run_sweep(config: ExperimentConfig, threads: int = 1) -> list[SweepRow]:
@@ -76,15 +68,18 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> list[SweepRow]:
         raise ConfigError("sweep: this config has no sweep section")
     parameter = config.sweep.parameter
     values = config.sweep.values
+    points = config.sweep.points
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda v: _evaluate_point(config, parameter, v), values))
-    return [_evaluate_point(config, parameter, v) for v in values]
+            return list(
+                pool.map(lambda v, p: _evaluate_point(config, parameter, v, p), values, points)
+            )
+    return [_evaluate_point(config, parameter, v, p) for v, p in zip(values, points)]
 
 
 def run_report(config: ExperimentConfig) -> SweepRow:
     """Evaluate the config's fixed parameter point (any sweep section is ignored)."""
-    return _evaluate_point(config, "point", 0.0)
+    return _evaluate_point(config, "point", 0.0, (config.weight, config.bath))
 
 
 def _fmt(value: float) -> str:

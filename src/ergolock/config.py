@@ -39,7 +39,9 @@ def _require(mapping: Any, key: str, path: str) -> Any:
     return mapping[key]
 
 
-def _check_keys(mapping: dict, allowed: set[str], path: str) -> None:
+def _check_keys(mapping: Any, allowed: set[str], path: str) -> None:
+    if not isinstance(mapping, dict):
+        raise _fail(path, "expected an object")
     unknown = set(mapping) - allowed
     if unknown:
         raise _fail(path, f"unknown field(s): {', '.join(sorted(unknown))}")
@@ -61,6 +63,12 @@ def _as_positive(value: Any, path: str) -> float:
     return value
 
 
+def _as_gaps(value: Any, path: str) -> list[float]:
+    if not isinstance(value, list) or not value:
+        raise _fail(path, "expected a non-empty list of positive gaps")
+    return [_as_positive(g, f"{path}[{i}]") for i, g in enumerate(value)]
+
+
 def _as_int(value: Any, path: str, minimum: int = 0) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise _fail(path, "expected an integer")
@@ -71,8 +79,12 @@ def _as_int(value: Any, path: str, minimum: int = 0) -> int:
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """The swept parameter, its values, and the (weight, bath) pair that
+    each value resolves to."""
+
     parameter: str
     values: tuple[float, ...]
+    points: tuple[tuple[WeightModel, BathSpec], ...]
 
 
 @dataclass(frozen=True)
@@ -83,55 +95,26 @@ class OutputSpec:
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    """Fully validated experiment description.
+    """Fully validated experiment description, resolved into domain objects.
 
-    Fixed parameters are held resolved; the swept parameter (bath size N or
-    the Gaussian sigma/omega ratio) is substituted per point through
-    :meth:`bath_spec` and :meth:`weight_model`.
+    ``weight`` and ``bath`` are the fixed parameter point; a sweep carries
+    its own resolved point per value.
     """
 
     hamiltonian: DiagonalHamiltonian
     state: DensityOperator
-    temperature: float
-    bath_model: str
-    bath_n: int
-    bath_omega: float | None
-    bath_gaps: tuple[float, ...] | None
-    weight_kind: str
-    weight_sigma: float | None
-    weight_t: float
+    weight: WeightModel
+    bath: BathSpec
     sweep: SweepSpec | None
     output: OutputSpec | None
     seed: int | None
 
-    @property
-    def reference_omega(self) -> float:
-        """System gap used to scale sigma/omega sweep values."""
-        return float(self.hamiltonian.energies[1] - self.hamiltonian.energies[0])
 
-    def bath_spec(self, n: int | None = None) -> BathSpec:
-        if self.bath_model == "custom":
-            if n is not None:
-                raise ConfigError("sweep.parameter: N sweeps need a skrzypczyk bath")
-            return custom_bath(self.temperature, self.bath_gaps)
-        size = self.bath_n if n is None else n
-        if size == 0:
-            # Degenerate bathless point: a BathSpec with no qubits.
-            return BathSpec(T=self.temperature, gaps=np.empty(0))
-        return skrzypczyk_bath(size, self.temperature, self.bath_omega)
-
-    def weight_model(self, sigma_over_omega: float | None = None) -> WeightModel:
-        if sigma_over_omega is not None:
-            if self.weight_kind != "gaussian":
-                raise ConfigError(
-                    "sweep.parameter: sigma_over_omega sweeps need a gaussian weight"
-                )
-            return GaussianWeight(sigma=sigma_over_omega * self.reference_omega)
-        if self.weight_kind == "gaussian":
-            return GaussianWeight(sigma=self.weight_sigma)
-        if self.weight_kind == "time_state":
-            return TimeStateWeight(t=self.weight_t)
-        return EnergyEigenstateWeight()
+def _ladder_bath(size: int, temperature: float, omega: float) -> BathSpec:
+    if size == 0:
+        # Degenerate bathless point: a BathSpec with no qubits.
+        return BathSpec(T=temperature, gaps=np.empty(0))
+    return skrzypczyk_bath(size, temperature, omega)
 
 
 def _parse_state(raw: Any, dim: int, path: str) -> DensityOperator:
@@ -186,8 +169,9 @@ def _parse_sweep_values(raw: dict, parameter: str, path: str) -> tuple[float, ..
         if spacing not in ("linear", "log"):
             raise _fail(f"{rpath}.spacing", 'expected "linear" or "log"')
         if spacing == "log":
-            if start <= 0:
-                raise _fail(f"{rpath}.from", "log spacing needs positive endpoints")
+            for key, end in (("from", start), ("to", stop)):
+                if end <= 0:
+                    raise _fail(f"{rpath}.{key}", "log spacing needs positive endpoints")
             out = list(np.geomspace(start, stop, steps))
         else:
             out = list(np.linspace(start, stop, steps))
@@ -208,8 +192,6 @@ def _parse_sweep_values(raw: dict, parameter: str, path: str) -> tuple[float, ..
 
 def parse_config(data: dict) -> ExperimentConfig:
     """Validate a decoded JSON object into an :class:`ExperimentConfig`."""
-    if not isinstance(data, dict):
-        raise ConfigError("top level: expected an object")
     _check_keys(
         data, {"system", "bath", "weight", "temperature", "sweep", "output", "seed"}, "top level"
     )
@@ -218,45 +200,37 @@ def parse_config(data: dict) -> ExperimentConfig:
 
     system = _require(data, "system", "")
     _check_keys(system, {"gaps", "state"}, "system")
-    raw_gaps = _require(system, "gaps", "system")
-    if not isinstance(raw_gaps, list) or not raw_gaps:
-        raise _fail("system.gaps", "expected a non-empty list of positive gaps")
-    gaps = [_as_positive(g, f"system.gaps[{i}]") for i, g in enumerate(raw_gaps)]
+    gaps = _as_gaps(_require(system, "gaps", "system"), "system.gaps")
     # Gaps are successive level spacings above a zero ground level.
     energies = np.concatenate([[0.0], np.cumsum(gaps)])
     hamiltonian = DiagonalHamiltonian(energies)
     state = _parse_state(_require(system, "state", "system"), hamiltonian.dim, "system.state")
 
-    bath = _require(data, "bath", "")
-    model = _require(bath, "model", "bath")
+    raw_bath = _require(data, "bath", "")
+    model = _require(raw_bath, "model", "bath")
     if model == "skrzypczyk":
-        _check_keys(bath, {"model", "N", "omega"}, "bath")
-        bath_n = _as_int(_require(bath, "N", "bath"), "bath.N", minimum=0)
-        bath_omega = _as_positive(_require(bath, "omega", "bath"), "bath.omega")
-        bath_gaps = None
+        _check_keys(raw_bath, {"model", "N", "omega"}, "bath")
+        bath_n = _as_int(_require(raw_bath, "N", "bath"), "bath.N", minimum=0)
+        omega = _as_positive(_require(raw_bath, "omega", "bath"), "bath.omega")
+        bath = _ladder_bath(bath_n, temperature, omega)
     elif model == "custom":
-        _check_keys(bath, {"model", "gaps"}, "bath")
-        raw = _require(bath, "gaps", "bath")
-        if not isinstance(raw, list) or not raw:
-            raise _fail("bath.gaps", "expected a non-empty list of positive gaps")
-        bath_gaps = tuple(_as_positive(g, f"bath.gaps[{i}]") for i, g in enumerate(raw))
-        bath_n = len(bath_gaps)
-        bath_omega = None
+        _check_keys(raw_bath, {"model", "gaps"}, "bath")
+        bath = custom_bath(temperature, _as_gaps(_require(raw_bath, "gaps", "bath"), "bath.gaps"))
     else:
         raise _fail("bath.model", 'expected "skrzypczyk" or "custom"')
 
-    weight = _require(data, "weight", "")
-    kind = _require(weight, "kind", "weight")
-    weight_sigma: float | None = None
-    weight_t = 0.0
+    raw_weight = _require(data, "weight", "")
+    kind = _require(raw_weight, "kind", "weight")
     if kind == "gaussian":
-        _check_keys(weight, {"kind", "sigma"}, "weight")
-        weight_sigma = _as_positive(_require(weight, "sigma", "weight"), "weight.sigma")
+        _check_keys(raw_weight, {"kind", "sigma"}, "weight")
+        sigma = _as_positive(_require(raw_weight, "sigma", "weight"), "weight.sigma")
+        weight = GaussianWeight(sigma=sigma)
     elif kind == "time_state":
-        _check_keys(weight, {"kind", "t"}, "weight")
-        weight_t = _as_real(weight.get("t", 0.0), "weight.t")
+        _check_keys(raw_weight, {"kind", "t"}, "weight")
+        weight = TimeStateWeight(t=_as_real(raw_weight.get("t", 0.0), "weight.t"))
     elif kind == "energy_eigenstate":
-        _check_keys(weight, {"kind"}, "weight")
+        _check_keys(raw_weight, {"kind"}, "weight")
+        weight = EnergyEigenstateWeight()
     else:
         raise _fail("weight.kind", 'expected "gaussian", "time_state", or "energy_eigenstate"')
 
@@ -271,7 +245,16 @@ def parse_config(data: dict) -> ExperimentConfig:
             raise _fail("sweep.parameter", "N sweeps need a skrzypczyk bath")
         if parameter == "sigma_over_omega" and kind != "gaussian":
             raise _fail("sweep.parameter", "sigma_over_omega sweeps need a gaussian weight")
-        sweep = SweepSpec(parameter=parameter, values=_parse_sweep_values(raw, parameter, "sweep"))
+        values = _parse_sweep_values(raw, parameter, "sweep")
+        try:
+            if parameter == "N":
+                points = tuple((weight, _ladder_bath(int(v), temperature, omega)) for v in values)
+            else:
+                # sigma/omega is scaled by the first system gap.
+                points = tuple((GaussianWeight(sigma=v * gaps[0]), bath) for v in values)
+        except ValueError as exc:
+            raise _fail("sweep.values", str(exc)) from exc
+        sweep = SweepSpec(parameter=parameter, values=values, points=points)
 
     output = None
     if data.get("output") is not None:
@@ -294,14 +277,8 @@ def parse_config(data: dict) -> ExperimentConfig:
     return ExperimentConfig(
         hamiltonian=hamiltonian,
         state=state,
-        temperature=temperature,
-        bath_model=model,
-        bath_n=bath_n,
-        bath_omega=bath_omega,
-        bath_gaps=bath_gaps,
-        weight_kind=kind,
-        weight_sigma=weight_sigma,
-        weight_t=weight_t,
+        weight=weight,
+        bath=bath,
         sweep=sweep,
         output=output,
         seed=seed,

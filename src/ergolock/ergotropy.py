@@ -24,6 +24,7 @@ from .spectra import (
     eigens,
     product_pairs,
     shannon_entropy,
+    state_free_energy,
 )
 
 ERGOTROPY_FLOOR = -1e-10
@@ -128,7 +129,6 @@ def theorem2_check(
     hamiltonian: DiagonalHamiltonian,
     bath: FactorizedEnsemble,
     temperature: float,
-    cap: int = DEFAULT_EXPANSION_CAP,
 ) -> Theorem2Result:
     """Conditional bound relating joint ergotropy differences to system
     free-energy differences.
@@ -141,8 +141,8 @@ def theorem2_check(
     """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    rho_probs, energies = _joint_pairs(rho, hamiltonian, bath, cap)
-    xi_probs, _ = _joint_pairs(xi, hamiltonian, bath, cap)
+    rho_probs, energies = _joint_pairs(rho, hamiltonian, bath, DEFAULT_EXPANSION_CAP)
+    xi_probs, _ = _joint_pairs(xi, hamiltonian, bath, DEFAULT_EXPANSION_CAP)
 
     rho_passive = _sorted_passive(rho_probs, energies)
     xi_passive = _sorted_passive(xi_probs, energies)
@@ -153,12 +153,11 @@ def theorem2_check(
     rho_ergotropy = _joint_average_energy(rho, hamiltonian, bath) - rho_passive
     xi_ergotropy = _joint_average_energy(xi, hamiltonian, bath) - xi_passive
 
-    def marginal_free_energy(state: DensityOperator) -> float:
-        energy = compensated_dot(state.diagonal(), hamiltonian.energies)
-        return energy - temperature * shannon_entropy(eigens(state))
-
     return Theorem2Result(
         condition_holds=bool(condition),
         lhs=rho_ergotropy - xi_ergotropy,
-        rhs=marginal_free_energy(rho) - marginal_free_energy(xi),
+        rhs=(
+            state_free_energy(rho, hamiltonian, temperature)
+            - state_free_energy(xi, hamiltonian, temperature)
+        ),
     )

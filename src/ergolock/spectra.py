@@ -221,6 +221,14 @@ def free_energy(ensemble: SpectralEnsemble, temperature: float) -> float:
     return average_energy(ensemble) - temperature * entropy(ensemble)
 
 
+def state_free_energy(
+    rho: DensityOperator, hamiltonian: DiagonalHamiltonian, temperature: float
+) -> float:
+    """F = Tr[H rho] - T*S(rho) of a system state under a diagonal Hamiltonian."""
+    energy = compensated_dot(rho.diagonal(), hamiltonian.energies)
+    return energy - temperature * shannon_entropy(eigens(rho))
+
+
 def _as_factors(value: SpectralEnsemble | FactorizedEnsemble) -> tuple[SpectralEnsemble, ...]:
     if isinstance(value, FactorizedEnsemble):
         return value.factors

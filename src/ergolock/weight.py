@@ -58,34 +58,29 @@ class CustomWeight:
 WeightModel = Union[GaussianWeight, TimeStateWeight, EnergyEigenstateWeight, CustomWeight]
 
 
-def characteristic_factor(weight: WeightModel, delta: float) -> complex:
-    """Coherence scaling factor phi(delta) for a level splitting delta."""
-    if isinstance(weight, GaussianWeight):
-        return complex(math.exp(-(delta * delta) / (8.0 * weight.sigma * weight.sigma)))
-    if isinstance(weight, TimeStateWeight):
-        return complex(np.exp(-1j * delta * weight.t))
-    if isinstance(weight, EnergyEigenstateWeight):
-        return complex(1.0 if delta == 0.0 else 0.0)
-    if isinstance(weight, CustomWeight):
-        return complex(weight.phi(delta))
-    raise TypeError(f"unknown weight model {type(weight).__name__}")
+def characteristic_factor(
+    weight: WeightModel, delta: float | np.ndarray
+) -> complex | np.ndarray:
+    """Coherence scaling factor phi(delta) for a level splitting delta.
 
-
-def _factor_matrix(weight: WeightModel, energies: np.ndarray) -> np.ndarray:
-    delta = np.subtract.outer(energies, energies)
+    ``delta`` may be a scalar (a complex comes back) or an array (an array
+    of the same shape comes back).
+    """
+    delta = np.asarray(delta, dtype=np.float64)
     if isinstance(weight, GaussianWeight):
-        return np.exp(-(delta * delta) / (8.0 * weight.sigma * weight.sigma))
-    if isinstance(weight, TimeStateWeight):
-        return np.exp(-1j * delta * weight.t)
-    if isinstance(weight, EnergyEigenstateWeight):
+        factors = np.exp(-(delta * delta) / (8.0 * weight.sigma * weight.sigma))
+    elif isinstance(weight, TimeStateWeight):
+        factors = np.exp(-1j * delta * weight.t)
+    elif isinstance(weight, EnergyEigenstateWeight):
         # Exact comparison: coherences inside degenerate subspaces survive.
-        return np.where(delta == 0.0, 1.0, 0.0)
-    if isinstance(weight, CustomWeight):
+        factors = np.where(delta == 0.0, 1.0, 0.0)
+    elif isinstance(weight, CustomWeight):
         factors = np.vectorize(weight.phi, otypes=[np.complex128])(delta)
         if float(np.max(np.abs(factors))) > 1.0 + 1e-12:
             raise ValueError("characteristic function exceeds modulus 1")
-        return factors
-    raise TypeError(f"unknown weight model {type(weight).__name__}")
+    else:
+        raise TypeError(f"unknown weight model {type(weight).__name__}")
+    return complex(factors) if factors.ndim == 0 else factors
 
 
 def control_marginal(
@@ -102,7 +97,8 @@ def control_marginal(
     """
     if rho.dim != hamiltonian.dim:
         raise ValueError("state and Hamiltonian dimensions differ")
-    scaled = rho.entries * _factor_matrix(weight, hamiltonian.energies)
+    delta = np.subtract.outer(hamiltonian.energies, hamiltonian.energies)
+    scaled = rho.entries * characteristic_factor(weight, delta)
     try:
         return DensityOperator(scaled)
     except ValueError as exc:

@@ -5,7 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from ergolock import ConfigError, bound_report, load_config, parse_config, run_verification
+from ergolock import (
+    ConfigError,
+    GaussianWeight,
+    bound_report,
+    load_config,
+    parse_config,
+    run_verification,
+    skrzypczyk_bath,
+)
 from ergolock.cli import CSV_COLUMNS, emit_csv, emit_json, main, run_report, run_sweep
 
 
@@ -18,6 +26,9 @@ def base_config(**overrides) -> dict:
     }
     data.update(overrides)
     return data
+
+
+LOG_RANGE_TO_ZERO = {"from": 0.1, "to": 0.0, "steps": 3, "spacing": "log"}
 
 
 class TestParsing:
@@ -45,7 +56,7 @@ class TestParsing:
 
     def test_custom_bath(self):
         config = parse_config(base_config(bath={"model": "custom", "gaps": [0.5, 1.5]}))
-        assert list(config.bath_spec().gaps) == [0.5, 1.5]
+        assert list(config.bath.gaps) == [0.5, 1.5]
 
     def test_sweep_range_log(self):
         config = parse_config(base_config(sweep={
@@ -108,6 +119,30 @@ class TestParseErrors:
         with pytest.raises(ConfigError, match="system.state.matrix"):
             parse_config(data)
 
+    @pytest.mark.parametrize(
+        "overrides, fragment",
+        [
+            ({"system": 5}, "system: expected an object"),
+            ({"output": 7}, "output: expected an object"),
+            ({"sweep": "N"}, "sweep: expected an object"),
+            ({"sweep": {"parameter": "N", "range": [1, 2]}}, "sweep.range: expected an object"),
+            ({"sweep": {"parameter": "N", "range": LOG_RANGE_TO_ZERO}}, "sweep.range.to"),
+            ({"sweep": {"parameter": "sigma_over_omega", "range": LOG_RANGE_TO_ZERO}},
+             "sweep.range.to"),
+            # sigma = value * first system gap overflows to inf.
+            ({"system": {"gaps": [10.0], "state": "plus"},
+              "sweep": {"parameter": "sigma_over_omega", "values": [1e308]}}, "sweep.values"),
+        ],
+    )
+    def test_malformed_input_is_a_config_error(self, tmp_path, capsys, overrides, fragment):
+        data = base_config(**overrides)
+        with pytest.raises(ConfigError, match=fragment):
+            parse_config(data)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        assert main(["report", "--config", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_malformed_json_reports_position(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"system": }')
@@ -121,8 +156,23 @@ class TestSweepEngine:
         rows = run_sweep(config)
         assert len(rows) == 1
         direct = bound_report(config.state, config.hamiltonian,
-                              config.weight_model(), config.bath_spec(1))
+                              *config.sweep.points[0])
         assert rows[0].report.as_dict() == direct.as_dict()
+
+    def test_sigma_points_match_bound_report(self):
+        config = parse_config(base_config(
+            system={"gaps": [1.5, 0.5], "state": "plus"},
+            bath={"model": "skrzypczyk", "N": 3, "omega": 1.0},
+            sweep={"parameter": "sigma_over_omega", "values": [0.25, 1.0, 4.0]},
+        ))
+        bath = skrzypczyk_bath(3, 1.0, 1.0)
+        rows = run_sweep(config)
+        assert len(rows) == 3
+        for row in rows:
+            # sigma/omega is scaled by the first system gap, 1.5.
+            weight = GaussianWeight(sigma=row.value * 1.5)
+            direct = bound_report(config.state, config.hamiltonian, weight, bath)
+            assert row.report.as_dict() == direct.as_dict()
 
     def test_report_entry_point(self):
         config = parse_config(base_config())

@@ -24,6 +24,13 @@ from ergolock import (
 # at omega = sigma = 1.
 GAMMA = float(np.exp(-1.0 / 8.0))
 
+ALL_MODELS = [
+    GaussianWeight(sigma=0.4),
+    TimeStateWeight(t=2.3),
+    EnergyEigenstateWeight(),
+    CustomWeight(phi=lambda d: math.exp(-abs(d))),
+]
+
 
 class TestCharacteristicFactor:
     def test_gaussian_at_unit_ratio(self):
@@ -31,12 +38,17 @@ class TestCharacteristicFactor:
         assert value == pytest.approx(GAMMA, abs=1e-15)
         assert value == pytest.approx(0.882497, abs=1e-6)
 
-    @pytest.mark.parametrize(
-        "weight",
-        [GaussianWeight(sigma=0.4), TimeStateWeight(t=2.3), EnergyEigenstateWeight()],
-    )
+    @pytest.mark.parametrize("weight", ALL_MODELS)
     def test_zero_splitting_gives_one(self, weight):
         assert characteristic_factor(weight, 0.0) == 1.0
+
+    @pytest.mark.parametrize("weight", ALL_MODELS)
+    def test_array_matches_scalar(self, weight):
+        delta = np.subtract.outer([0.0, 0.5, 1.5, 3.0], [0.0, 1.0, 2.5])
+        factors = characteristic_factor(weight, delta)
+        scalars = [[characteristic_factor(weight, float(d)) for d in row] for row in delta]
+        assert factors.shape == delta.shape
+        assert np.array_equal(factors, np.array(scalars))
 
     @pytest.mark.parametrize("t", [-2.0, 0.0, 0.7, 31.0])
     @pytest.mark.parametrize("delta", [0.1, 1.0, 5.0])
