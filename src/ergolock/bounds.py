@@ -5,8 +5,10 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
+import numpy as np
+
 from .bath import BathSpec, bath_ensemble
-from .ergotropy import ergotropy_product
+from .ergotropy import ergotropy_product, shared_bath_ergotropies
 from .spectra import (
     DensityOperator,
     DiagonalHamiltonian,
@@ -14,7 +16,7 @@ from .spectra import (
     free_energy,
     gibbs_ensemble,
     shannon_entropy,
-    state_free_energy,
+    spectrum_free_energy,
 )
 from .weight import WeightModel, control_marginal
 
@@ -57,8 +59,19 @@ def free_energy_bound(
     """F(rho) - F(thermal state): the bath-independent work ceiling."""
     if temperature <= 0:
         raise ValueError("temperature must be positive")
+    return _ceiling(rho, eigens(rho), hamiltonian, temperature)
+
+
+def _ceiling(
+    rho: DensityOperator,
+    rho_spectrum: np.ndarray,
+    hamiltonian: DiagonalHamiltonian,
+    temperature: float,
+) -> float:
     thermal = gibbs_ensemble(hamiltonian, 1.0 / temperature)
-    return state_free_energy(rho, hamiltonian, temperature) - free_energy(thermal, temperature)
+    return spectrum_free_energy(rho, rho_spectrum, hamiltonian, temperature) - free_energy(
+        thermal, temperature
+    )
 
 
 def tight_bound(
@@ -83,8 +96,8 @@ def locked_energy(
     return bound_report(rho, hamiltonian, weight, bath).locked_energy
 
 
-def _entropy_gap(rho: DensityOperator, sigma: DensityOperator, temperature: float) -> float:
-    return temperature * (shannon_entropy(eigens(sigma)) - shannon_entropy(eigens(rho)))
+def _entropy_gap(rho_spectrum: np.ndarray, sigma_spectrum: np.ndarray, temperature: float) -> float:
+    return temperature * (shannon_entropy(sigma_spectrum) - shannon_entropy(rho_spectrum))
 
 
 def thermo_limit_locked(
@@ -103,7 +116,8 @@ def thermo_limit_locked(
     """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    return _entropy_gap(rho, control_marginal(rho, hamiltonian, weight), temperature)
+    sigma = control_marginal(rho, hamiltonian, weight)
+    return _entropy_gap(eigens(rho), eigens(sigma), temperature)
 
 
 def bound_report(
@@ -114,18 +128,21 @@ def bound_report(
 ) -> BoundReport:
     """Evaluate the full bound chain at one parameter point.
 
-    The weight-averaged state and the bath ensemble are computed once and
-    shared by every derived field, so the report is consistent under
-    floating-point noise by construction.
+    The weight-averaged state, the bath ensemble, the spectra of rho and
+    sigma, and the sorted joint energies are computed once and shared by
+    every derived field, so the report is consistent under floating-point
+    noise by construction.
     """
     sigma = control_marginal(rho, hamiltonian, weight)
     ensemble = bath_ensemble(bath)
-    resource = ergotropy_product(rho, hamiltonian, ensemble)
-    tight = ergotropy_product(sigma, hamiltonian, ensemble)
+    rho_spectrum, sigma_spectrum = eigens(rho), eigens(sigma)
+    resource, tight = shared_bath_ergotropies(
+        [(rho, rho_spectrum), (sigma, sigma_spectrum)], hamiltonian, ensemble
+    )
     return BoundReport(
         tight_bound=tight,
         resource_ergotropy=resource,
         locked_energy=resource - tight,
-        free_energy_bound=free_energy_bound(rho, hamiltonian, bath.T),
-        thermo_limit_locked=_entropy_gap(rho, sigma, bath.T),
+        free_energy_bound=_ceiling(rho, rho_spectrum, hamiltonian, bath.T),
+        thermo_limit_locked=_entropy_gap(rho_spectrum, sigma_spectrum, bath.T),
     )

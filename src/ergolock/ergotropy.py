@@ -2,14 +2,17 @@
 
 The unitary minimization behind passive energy has a closed classical
 solution: pair the state's probabilities sorted descending with the energy
-levels sorted ascending. Everything in this module reduces to building the
-right (prob, energy) lists and sorting them, which scales to multi-million
-element joint spectra without ever touching a dense joint matrix.
+levels sorted ascending. For a system state times a factorized bath, both
+joint multisets come already ascending from :func:`spectra.sorted_joint`, a
+merge of sorted runs, so no joint-sized array is ever sorted from scratch
+and no dense joint matrix is touched. States that share a bath share one
+joint energy array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -22,19 +25,18 @@ from .spectra import (
     average_energy,
     compensated_dot,
     eigens,
-    product_pairs,
     shannon_entropy,
-    state_free_energy,
+    sorted_joint,
+    spectrum_free_energy,
 )
 
 ERGOTROPY_FLOOR = -1e-10
 
 
-def _sorted_passive(probs: np.ndarray, energies: np.ndarray) -> float:
-    # Value-only path: an unstable high-performance sort is fine here, the
-    # stable ordering is only needed when a passive *state* is materialized.
-    p_asc = np.sort(probs)
-    e_asc = np.sort(energies)
+def _sorted_passive(p_asc: np.ndarray, e_asc: np.ndarray) -> float:
+    # Both inputs ascending: the largest probability meets the lowest energy.
+    # Equal values are interchangeable in either array, so the value does not
+    # depend on how a sort ordered them.
     return compensated_dot(p_asc[::-1], e_asc)
 
 
@@ -44,7 +46,7 @@ def passive_energy(ensemble: SpectralEnsemble) -> float:
     Equals the dot product of probabilities sorted descending with energies
     sorted ascending; ties in either list cannot change the value.
     """
-    return _sorted_passive(ensemble.probs, ensemble.energies)
+    return _sorted_passive(np.sort(ensemble.probs), np.sort(ensemble.energies))
 
 
 def ergotropy(ensemble: SpectralEnsemble) -> float:
@@ -55,17 +57,19 @@ def ergotropy(ensemble: SpectralEnsemble) -> float:
     return value
 
 
-def _joint_pairs(
-    system: DensityOperator,
-    hamiltonian: DiagonalHamiltonian,
-    bath: FactorizedEnsemble,
-    cap: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    # The returned positional pairing is arbitrary (system eigenbasis vs
-    # energy basis); callers may only use the two multisets, never the pairs.
+def _check_dims(system: DensityOperator, hamiltonian: DiagonalHamiltonian) -> None:
     if system.dim != hamiltonian.dim:
         raise ValueError("system state and Hamiltonian dimensions differ")
-    return product_pairs(eigens(system), hamiltonian.energies, bath.factors, cap)
+
+
+def _joint_probs(eigenvalues: np.ndarray, bath: FactorizedEnsemble, cap: int) -> np.ndarray:
+    return sorted_joint(eigenvalues, [f.probs for f in bath.factors], np.multiply, cap)
+
+
+def _joint_energies(
+    hamiltonian: DiagonalHamiltonian, bath: FactorizedEnsemble, cap: int
+) -> np.ndarray:
+    return sorted_joint(hamiltonian.energies, [f.energies for f in bath.factors], np.add, cap)
 
 
 def _joint_average_energy(
@@ -87,15 +91,39 @@ def ergotropy_product(
 ) -> float:
     """Ergotropy of (system state) x (factorized bath) under H_S + H_B.
 
-    Only the flat joint (prob, energy) arrays are materialized and sorted;
-    the mean energy is taken additively from the system matrix diagonal and
-    the bath factors.
+    Only the flat joint probability and energy arrays are materialized, each
+    built in ascending order by :func:`spectra.sorted_joint`; the mean energy
+    is taken additively from the system matrix diagonal and the bath factors.
     """
-    probs, energies = _joint_pairs(system, hamiltonian, bath, cap)
-    value = _joint_average_energy(system, hamiltonian, bath) - _sorted_passive(probs, energies)
-    if value < ERGOTROPY_FLOOR:
-        raise ArithmeticError(f"ergotropy {value:.3e} below the numerical floor")
+    (value,) = shared_bath_ergotropies([(system, eigens(system))], hamiltonian, bath, cap)
     return value
+
+
+def shared_bath_ergotropies(
+    systems: Sequence[tuple[DensityOperator, np.ndarray]],
+    hamiltonian: DiagonalHamiltonian,
+    bath: FactorizedEnsemble,
+    cap: int = DEFAULT_EXPANSION_CAP,
+) -> list[float]:
+    """:func:`ergotropy_product` of each ``(state, eigens(state))`` pair with
+    the same bath.
+
+    The states share the joint energy multiset, so it is built once; the
+    caller passes the spectra it already holds, so none is recomputed.
+    Each value equals ``ergotropy_product(state, hamiltonian, bath, cap)``
+    bit for bit.
+    """
+    for system, _ in systems:
+        _check_dims(system, hamiltonian)
+    energies = _joint_energies(hamiltonian, bath, cap)
+    values = []
+    for system, spectrum in systems:
+        passive = _sorted_passive(_joint_probs(spectrum, bath, cap), energies)
+        value = _joint_average_energy(system, hamiltonian, bath) - passive
+        if value < ERGOTROPY_FLOOR:
+            raise ArithmeticError(f"ergotropy {value:.3e} below the numerical floor")
+        values.append(value)
+    return values
 
 
 def passive_state(rho: DensityOperator, hamiltonian: DiagonalHamiltonian) -> DensityOperator:
@@ -141,8 +169,12 @@ def theorem2_check(
     """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    rho_probs, energies = _joint_pairs(rho, hamiltonian, bath, DEFAULT_EXPANSION_CAP)
-    xi_probs, _ = _joint_pairs(xi, hamiltonian, bath, DEFAULT_EXPANSION_CAP)
+    _check_dims(rho, hamiltonian)
+    _check_dims(xi, hamiltonian)
+    rho_spectrum, xi_spectrum = eigens(rho), eigens(xi)
+    energies = _joint_energies(hamiltonian, bath, DEFAULT_EXPANSION_CAP)
+    rho_probs = _joint_probs(rho_spectrum, bath, DEFAULT_EXPANSION_CAP)
+    xi_probs = _joint_probs(xi_spectrum, bath, DEFAULT_EXPANSION_CAP)
 
     rho_passive = _sorted_passive(rho_probs, energies)
     xi_passive = _sorted_passive(xi_probs, energies)
@@ -157,7 +189,7 @@ def theorem2_check(
         condition_holds=bool(condition),
         lhs=rho_ergotropy - xi_ergotropy,
         rhs=(
-            state_free_energy(rho, hamiltonian, temperature)
-            - state_free_energy(xi, hamiltonian, temperature)
+            spectrum_free_energy(rho, rho_spectrum, hamiltonian, temperature)
+            - spectrum_free_energy(xi, xi_spectrum, hamiltonian, temperature)
         ),
     )

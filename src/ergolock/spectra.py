@@ -2,10 +2,13 @@
 
 A state that is diagonal in a known energy basis is fully described by a
 paired list of (probability, energy): a :class:`SpectralEnsemble`. Product
-states of many such factors are kept factorized (:class:`FactorizedEnsemble`)
-and only expanded on demand, which is what makes large bath sweeps cheap.
-Small non-diagonal system states are carried as dense matrices
-(:class:`DensityOperator`).
+states of many such factors are kept factorized (:class:`FactorizedEnsemble`).
+Passive energies need only the two joint multisets, each in ascending order,
+and :func:`sorted_joint` builds those directly: it combines one factor at a
+time into an already sorted array, so every step is a linear merge of sorted
+runs rather than a full sort. :func:`expand` keeps the lexicographic joint
+order for the dense oracle. Small non-diagonal system states are carried as
+dense matrices (:class:`DensityOperator`).
 
 Units: hbar = k_B = 1, natural logarithm throughout.
 """
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -31,12 +35,26 @@ _SUM_BLOCK = 1 << 15
 
 
 class SizeCapError(RuntimeError):
-    """Raised when an expansion would exceed the configured element cap."""
+    """Raised when an expansion would exceed the configured element cap.
+
+    ``size`` is the element count reached when the cap was passed: the full
+    size, or a lower bound of it when the count stopped early.
+    """
 
     def __init__(self, size: int, cap: int):
         super().__init__(f"expansion of {size} elements exceeds the cap of {cap}")
         self.size = size
         self.cap = cap
+
+
+def _check_cap(sizes: Iterable[int], cap: int) -> None:
+    # Stop counting at the first factor that passes the cap: the full size of
+    # a 10^5-qubit bath has more decimal digits than Python will format.
+    size = 1
+    for n in sizes:
+        size *= int(n)
+        if size > cap:
+            raise SizeCapError(size, cap)
 
 
 def compensated_sum(values: np.ndarray) -> float:
@@ -225,8 +243,18 @@ def state_free_energy(
     rho: DensityOperator, hamiltonian: DiagonalHamiltonian, temperature: float
 ) -> float:
     """F = Tr[H rho] - T*S(rho) of a system state under a diagonal Hamiltonian."""
+    return spectrum_free_energy(rho, eigens(rho), hamiltonian, temperature)
+
+
+def spectrum_free_energy(
+    rho: DensityOperator,
+    eigenvalues: np.ndarray,
+    hamiltonian: DiagonalHamiltonian,
+    temperature: float,
+) -> float:
+    """:func:`state_free_energy` for a caller that already holds ``eigens(rho)``."""
     energy = compensated_dot(rho.diagonal(), hamiltonian.energies)
-    return energy - temperature * shannon_entropy(eigens(rho))
+    return energy - temperature * shannon_entropy(eigenvalues)
 
 
 def _as_factors(value: SpectralEnsemble | FactorizedEnsemble) -> tuple[SpectralEnsemble, ...]:
@@ -258,17 +286,42 @@ def product_pairs(
     ever materialized; a result larger than ``cap`` raises
     :class:`SizeCapError` instead of allocating.
     """
-    size = int(probs.size)
-    for f in factors:
-        size *= f.size
-    if size > cap:
-        raise SizeCapError(size, cap)
+    _check_cap([probs.size, *(f.size for f in factors)], cap)
     p = np.asarray(probs, dtype=np.float64)
     e = np.asarray(energies, dtype=np.float64)
     for f in factors:
         p = np.multiply.outer(p, f.probs).ravel()
         e = np.add.outer(e, f.energies).ravel()
     return p, e
+
+
+def sorted_joint(
+    seed: np.ndarray,
+    factors: Sequence[np.ndarray],
+    combine: np.ufunc,
+    cap: int = DEFAULT_EXPANSION_CAP,
+) -> np.ndarray:
+    """Ascending array of ``combine`` over every choice of one value from
+    ``seed`` and one from each factor: ``np.multiply`` gives the joint
+    probabilities, ``np.add`` the joint energies.
+
+    The seed is sorted, then each factor is combined into the sorted array:
+    ``combine.outer(factor, s)`` has one row per factor value, and each row
+    is a sorted run, because ``x -> x * c`` (c >= 0) and ``x -> x + c`` are
+    monotone in IEEE-754. A stable sort (timsort) merges a few such runs in
+    linear time. IEEE ``*`` and ``+`` are commutative, so the values form
+    the same multiset as :func:`product_pairs` builds, and the result equals
+    ``np.sort`` of its lexicographic array element for element (only the
+    order of a -0.0 and a 0.0, which compare equal, may differ). A result
+    larger than ``cap`` raises :class:`SizeCapError` before anything is
+    allocated.
+    """
+    _check_cap([np.size(seed), *(np.size(f) for f in factors)], cap)
+    s = np.sort(np.asarray(seed, dtype=np.float64).ravel())
+    for f in factors:
+        s = combine.outer(np.asarray(f, dtype=np.float64), s).ravel()
+        s.sort(kind="stable")
+    return s
 
 
 def expand(

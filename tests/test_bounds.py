@@ -11,6 +11,7 @@ from ergolock import (
     GaussianWeight,
     TimeStateWeight,
     bound_report,
+    custom_bath,
     free_energy_bound,
     gibbs_ensemble,
     locked_energy,
@@ -189,3 +190,29 @@ class TestBoundReport:
                 free_energy_bound=1.0,
                 thermo_limit_locked=0.0,
             )
+
+
+class TestProductionScaleInvariants:
+    """Invariants that hold exactly in theory, checked at N = 20 (2^21 joint
+    elements), beyond the reach of the dense oracle."""
+
+    N = 20
+
+    @pytest.fixture
+    def reference(self, plus_state, qubit_h, unit_gaussian):
+        bath = skrzypczyk_bath(self.N, 1.0, 1.0)
+        return bath, bound_report(plus_state, qubit_h, unit_gaussian, bath).as_dict()
+
+    def test_frozen_qubit_changes_nothing(self, reference, plus_state, qubit_h, unit_gaussian):
+        bath, expected = reference
+        # exp(-1000) underflows to 0.0: the extra qubit is exactly frozen.
+        frozen = custom_bath(1.0, [*bath.gaps, 1000.0])
+        got = bound_report(plus_state, qubit_h, unit_gaussian, frozen).as_dict()
+        assert got == expected
+
+    def test_gap_order_changes_nothing(self, reference, plus_state, qubit_h, unit_gaussian):
+        bath, expected = reference
+        reversed_bath = custom_bath(1.0, bath.gaps[::-1])
+        got = bound_report(plus_state, qubit_h, unit_gaussian, reversed_bath).as_dict()
+        for key, value in expected.items():
+            assert abs(got[key] - value) <= 1e-12, key

@@ -289,6 +289,24 @@ class TestCliProcess:
             sweep={"parameter": "N", "values": [2, 27]}))
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 3
 
+    def test_huge_bath_report_hits_size_cap(self, tmp_path, capsys):
+        # d * 2^N has more than 4300 decimal digits: the cap must still
+        # report it rather than fail to format the size.
+        cfg = self.write_config(tmp_path, base_config(
+            bath={"model": "skrzypczyk", "N": 15000, "omega": 1.0}))
+        assert main(["report", "--config", cfg]) == 3
+        assert "size cap" in capsys.readouterr().err
+
+    def test_huge_bath_sweep_writes_size_cap_row(self, tmp_path):
+        cfg = self.write_config(tmp_path, base_config(
+            sweep={"parameter": "N", "values": [2, 20000]}))
+        out = tmp_path / "o.json"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--format", "json"]) == 3
+        small, huge = json.loads(out.read_text())
+        assert small["resource_ergotropy"] is not None
+        assert huge["value"] == 20000.0
+        assert huge["error"] == "size-cap"
+
     def test_verify_passes_and_is_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "v1.json", tmp_path / "v2.json"
         for out in (out1, out2):

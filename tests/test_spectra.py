@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergolock import (
     DensityOperator,
@@ -20,6 +22,7 @@ from ergolock import (
     skrzypczyk_bath,
     tensor,
 )
+from ergolock.spectra import product_pairs, sorted_joint
 
 
 # Coherence survival factor of the worked example: exp(-omega^2 / 8 sigma^2)
@@ -216,3 +219,74 @@ class TestEigens:
         diag = [0.15, 0.05, 0.45, 0.35]
         rho = DensityOperator(np.diag(diag).astype(complex))
         assert eigens(rho) == pytest.approx(sorted(diag, reverse=True), abs=1e-14)
+
+
+# A small level set with repeats (degenerate energies) and a gap large
+# enough that its Gibbs population exp(-800 / T) underflows to exactly 0.0.
+LEVELS = st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.5, 800.0])
+
+
+@st.composite
+def gibbs_factors(draw):
+    levels = draw(st.lists(LEVELS, min_size=1, max_size=3))
+    temperature = draw(st.sampled_from([0.3, 1.0, 4.0]))
+    energies = np.asarray(levels)
+    weights = np.exp(-(energies - energies.min()) / temperature)
+    return SpectralEnsemble(weights / weights.sum(), levels)
+
+
+@st.composite
+def joint_inputs(draw):
+    d = draw(st.integers(min_value=1, max_value=4))
+    raw = draw(st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.25, 1.0]), min_size=d, max_size=d))
+    probs = np.asarray(raw) + (1.0 if not any(raw) else 0.0)
+    probs = probs / probs.sum()
+    energies = np.asarray(draw(st.lists(LEVELS, min_size=d, max_size=d)))
+    factors = tuple(draw(st.lists(gibbs_factors(), min_size=0, max_size=5)))
+    return probs, energies, factors
+
+
+class _RecordingCombine:
+    """A stand-in for ``np.add``/``np.multiply`` that records each use."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def outer(self, a, b):
+        self.calls += 1
+        return np.add.outer(a, b)
+
+
+class TestSortedJoint:
+    @settings(max_examples=200, deadline=None)
+    @given(joint_inputs())
+    def test_equals_sorted_lexicographic_expansion(self, inputs):
+        probs, energies, factors = inputs
+        p_lex, e_lex = product_pairs(probs, energies, factors)
+        p_sorted = sorted_joint(probs, [f.probs for f in factors], np.multiply)
+        e_sorted = sorted_joint(energies, [f.energies for f in factors], np.add)
+        assert np.array_equal(p_sorted, np.sort(p_lex))
+        assert np.array_equal(e_sorted, np.sort(e_lex))
+
+    def test_empty_factor_list_sorts_the_seed(self):
+        seed = np.array([0.5, 0.2, 0.3])
+        out = sorted_joint(seed, [], np.multiply)
+        assert list(out) == [0.2, 0.3, 0.5]
+        assert list(seed) == [0.5, 0.2, 0.3]
+
+    def test_cap_raises_before_combining(self):
+        combine = _RecordingCombine()
+        factors = [np.array([0.0, 1.0])] * 8
+        with pytest.raises(SizeCapError) as info:
+            sorted_joint(np.zeros(2), factors, combine, cap=100)
+        assert combine.calls == 0
+        assert info.value.cap == 100
+        assert sorted_joint(np.zeros(2), factors, combine, cap=512).size == 512
+
+    def test_cap_message_for_a_huge_bath(self):
+        # 2^20000 has 6021 decimal digits; the count stops once past the cap.
+        factors = [np.array([0.0, 1.0])] * 20000
+        with pytest.raises(SizeCapError) as info:
+            sorted_joint(np.zeros(2), factors, _RecordingCombine(), cap=1 << 26)
+        assert info.value.size == 1 << 27
+        assert "exceeds the cap" in str(info.value)
