@@ -16,7 +16,7 @@ from .spectra import (
     free_energy,
     gibbs_ensemble,
     shannon_entropy,
-    spectrum_free_energy,
+    state_free_energy,
 )
 from .weight import WeightModel, control_marginal
 
@@ -59,19 +59,8 @@ def free_energy_bound(
     """F(rho) - F(thermal state): the bath-independent work ceiling."""
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    return _ceiling(rho, eigens(rho), hamiltonian, temperature)
-
-
-def _ceiling(
-    rho: DensityOperator,
-    rho_spectrum: np.ndarray,
-    hamiltonian: DiagonalHamiltonian,
-    temperature: float,
-) -> float:
     thermal = gibbs_ensemble(hamiltonian, 1.0 / temperature)
-    return spectrum_free_energy(rho, rho_spectrum, hamiltonian, temperature) - free_energy(
-        thermal, temperature
-    )
+    return state_free_energy(rho, hamiltonian, temperature) - free_energy(thermal, temperature)
 
 
 def tight_bound(
@@ -128,10 +117,11 @@ def bound_report(
 ) -> BoundReport:
     """Evaluate the full bound chain at one parameter point.
 
-    The weight-averaged state, the bath ensemble, the spectra of rho and
-    sigma, and the sorted joint energies are computed once and shared by
-    every derived field, so the report is consistent under floating-point
-    noise by construction.
+    The weight-averaged state and the bath ensemble are computed once and
+    shared by every derived field, so the report is consistent under
+    floating-point noise by construction. The two ergotropies share one
+    sorted joint energy array, and the spectra of rho and sigma serve both
+    the ergotropies and the entropy gap.
     """
     sigma = control_marginal(rho, hamiltonian, weight)
     ensemble = bath_ensemble(bath)
@@ -143,6 +133,6 @@ def bound_report(
         tight_bound=tight,
         resource_ergotropy=resource,
         locked_energy=resource - tight,
-        free_energy_bound=_ceiling(rho, rho_spectrum, hamiltonian, bath.T),
+        free_energy_bound=free_energy_bound(rho, hamiltonian, bath.T),
         thermo_limit_locked=_entropy_gap(rho_spectrum, sigma_spectrum, bath.T),
     )

@@ -27,7 +27,7 @@ from .spectra import (
     eigens,
     shannon_entropy,
     sorted_joint,
-    spectrum_free_energy,
+    state_free_energy,
 )
 
 ERGOTROPY_FLOOR = -1e-10
@@ -171,10 +171,9 @@ def theorem2_check(
         raise ValueError("temperature must be positive")
     _check_dims(rho, hamiltonian)
     _check_dims(xi, hamiltonian)
-    rho_spectrum, xi_spectrum = eigens(rho), eigens(xi)
     energies = _joint_energies(hamiltonian, bath, DEFAULT_EXPANSION_CAP)
-    rho_probs = _joint_probs(rho_spectrum, bath, DEFAULT_EXPANSION_CAP)
-    xi_probs = _joint_probs(xi_spectrum, bath, DEFAULT_EXPANSION_CAP)
+    rho_probs = _joint_probs(eigens(rho), bath, DEFAULT_EXPANSION_CAP)
+    xi_probs = _joint_probs(eigens(xi), bath, DEFAULT_EXPANSION_CAP)
 
     rho_passive = _sorted_passive(rho_probs, energies)
     xi_passive = _sorted_passive(xi_probs, energies)
@@ -189,7 +188,7 @@ def theorem2_check(
         condition_holds=bool(condition),
         lhs=rho_ergotropy - xi_ergotropy,
         rhs=(
-            spectrum_free_energy(rho, rho_spectrum, hamiltonian, temperature)
-            - spectrum_free_energy(xi, xi_spectrum, hamiltonian, temperature)
+            state_free_energy(rho, hamiltonian, temperature)
+            - state_free_energy(xi, hamiltonian, temperature)
         ),
     )

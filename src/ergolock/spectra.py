@@ -16,8 +16,9 @@ Units: hbar = k_B = 1, natural logarithm throughout.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,26 +36,33 @@ _SUM_BLOCK = 1 << 15
 
 
 class SizeCapError(RuntimeError):
-    """Raised when an expansion would exceed the configured element cap.
-
-    ``size`` is the element count reached when the cap was passed: the full
-    size, or a lower bound of it when the count stopped early.
-    """
+    """Raised when an expansion would exceed the configured element cap."""
 
     def __init__(self, size: int, cap: int):
-        super().__init__(f"expansion of {size} elements exceeds the cap of {cap}")
+        super().__init__(f"expansion of {_count_text(size)} elements exceeds the cap of {cap}")
         self.size = size
         self.cap = cap
 
 
-def _check_cap(sizes: Iterable[int], cap: int) -> None:
-    # Stop counting at the first factor that passes the cap: the full size of
-    # a 10^5-qubit bath has more decimal digits than Python will format.
+def _count_text(n: int) -> str:
+    # Python refuses to format an int of more than 4,300 decimal digits, and
+    # a bath of 10^5 qubits has a joint size of 30,103 digits.
+    if n < 10**18:
+        return str(n)
+    log = math.log10(n)
+    return f"about {10 ** (log - int(log)):.3g}e{int(log)}"
+
+
+def _check_cap(sizes: Sequence[int], cap: int) -> None:
     size = 1
     for n in sizes:
         size *= int(n)
         if size > cap:
-            raise SizeCapError(size, cap)
+            # Equal factor sizes are grouped into one power, so the exact
+            # count of a 10^6-qubit bath costs one shift, not 10^6 big-int
+            # products.
+            counts = Counter(int(n) for n in sizes)
+            raise SizeCapError(math.prod(n**k for n, k in counts.items()), cap)
 
 
 def compensated_sum(values: np.ndarray) -> float:
@@ -243,18 +251,8 @@ def state_free_energy(
     rho: DensityOperator, hamiltonian: DiagonalHamiltonian, temperature: float
 ) -> float:
     """F = Tr[H rho] - T*S(rho) of a system state under a diagonal Hamiltonian."""
-    return spectrum_free_energy(rho, eigens(rho), hamiltonian, temperature)
-
-
-def spectrum_free_energy(
-    rho: DensityOperator,
-    eigenvalues: np.ndarray,
-    hamiltonian: DiagonalHamiltonian,
-    temperature: float,
-) -> float:
-    """:func:`state_free_energy` for a caller that already holds ``eigens(rho)``."""
     energy = compensated_dot(rho.diagonal(), hamiltonian.energies)
-    return energy - temperature * shannon_entropy(eigenvalues)
+    return energy - temperature * shannon_entropy(eigens(rho))
 
 
 def _as_factors(value: SpectralEnsemble | FactorizedEnsemble) -> tuple[SpectralEnsemble, ...]:
@@ -302,8 +300,8 @@ def sorted_joint(
     cap: int = DEFAULT_EXPANSION_CAP,
 ) -> np.ndarray:
     """Ascending array of ``combine`` over every choice of one value from
-    ``seed`` and one from each factor: ``np.multiply`` gives the joint
-    probabilities, ``np.add`` the joint energies.
+    the 1-D ``seed`` and one from each 1-D float64 factor: ``np.multiply``
+    gives the joint probabilities, ``np.add`` the joint energies.
 
     The seed is sorted, then each factor is combined into the sorted array:
     ``combine.outer(factor, s)`` has one row per factor value, and each row
@@ -316,10 +314,10 @@ def sorted_joint(
     larger than ``cap`` raises :class:`SizeCapError` before anything is
     allocated.
     """
-    _check_cap([np.size(seed), *(np.size(f) for f in factors)], cap)
-    s = np.sort(np.asarray(seed, dtype=np.float64).ravel())
+    _check_cap([len(seed), *map(len, factors)], cap)
+    s = np.sort(np.asarray(seed, dtype=np.float64))
     for f in factors:
-        s = combine.outer(np.asarray(f, dtype=np.float64), s).ravel()
+        s = combine.outer(f, s).ravel()
         s.sort(kind="stable")
     return s
 

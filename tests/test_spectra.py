@@ -284,9 +284,20 @@ class TestSortedJoint:
         assert sorted_joint(np.zeros(2), factors, combine, cap=512).size == 512
 
     def test_cap_message_for_a_huge_bath(self):
-        # 2^20000 has 6021 decimal digits; the count stops once past the cap.
+        # 2^20001 has 6022 decimal digits, more than Python will format.
         factors = [np.array([0.0, 1.0])] * 20000
         with pytest.raises(SizeCapError) as info:
             sorted_joint(np.zeros(2), factors, _RecordingCombine(), cap=1 << 26)
-        assert info.value.size == 1 << 27
-        assert "exceeds the cap" in str(info.value)
+        assert info.value.size == 1 << 20001
+        assert str(info.value) == (
+            f"expansion of about 7.96e6020 elements exceeds the cap of {1 << 26}"
+        )
+
+    def test_cap_message_states_the_full_size(self):
+        # A qubit with 27 bath qubits passes the cap at the last factor but
+        # one; the message still names all 2^28 elements.
+        factors = [np.array([0.0, 1.0])] * 27
+        with pytest.raises(SizeCapError) as info:
+            sorted_joint(np.zeros(2), factors, _RecordingCombine(), cap=1 << 26)
+        assert info.value.size == 1 << 28
+        assert str(info.value) == "expansion of 268435456 elements exceeds the cap of 67108864"
