@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .spectra import FactorizedEnsemble, SpectralEnsemble
+from .spectra import FactorizedEnsemble, SpectralEnsemble, _check_temperature
 
 
 @dataclass(frozen=True, eq=False)
@@ -24,8 +24,7 @@ class BathSpec:
     gaps: np.ndarray
 
     def __post_init__(self):
-        if not (math.isfinite(self.T) and self.T > 0):
-            raise ValueError("temperature must be positive and finite")
+        _check_temperature(self.T)
         gaps = np.array(self.gaps, dtype=np.float64, copy=True).ravel()
         if gaps.size and (not np.all(np.isfinite(gaps)) or float(gaps.min()) <= 0.0):
             raise ValueError("all bath gaps must be positive and finite")
@@ -49,8 +48,7 @@ def skrzypczyk_bath(n: int, temperature: float, omega: float) -> BathSpec:
         raise ValueError("N must be a positive integer")
     if not (math.isfinite(omega) and omega > 0):
         raise ValueError("omega must be positive and finite")
-    if not (math.isfinite(temperature) and temperature > 0):
-        raise ValueError("temperature must be positive and finite")
+    _check_temperature(temperature)
     boltzmann = math.exp(-omega / temperature)
     delta = boltzmann / (n * (1.0 + boltzmann))
     k = np.arange(1, n + 1, dtype=np.float64)

@@ -10,8 +10,11 @@ import numpy as np
 from .bath import BathSpec, bath_ensemble
 from .ergotropy import ergotropy_product, shared_bath_ergotropies
 from .spectra import (
+    DEFAULT_EXPANSION_CAP,
     DensityOperator,
     DiagonalHamiltonian,
+    _check_cap,
+    _check_temperature,
     eigens,
     free_energy,
     gibbs_ensemble,
@@ -57,8 +60,7 @@ def free_energy_bound(
     rho: DensityOperator, hamiltonian: DiagonalHamiltonian, temperature: float
 ) -> float:
     """F(rho) - F(thermal state): the bath-independent work ceiling."""
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
+    _check_temperature(temperature)
     thermal = gibbs_ensemble(hamiltonian, 1.0 / temperature)
     return state_free_energy(rho, hamiltonian, temperature) - free_energy(thermal, temperature)
 
@@ -103,8 +105,7 @@ def thermo_limit_locked(
     order; this implementation keeps the sign consistent with locked energy
     being non-negative.
     """
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
+    _check_temperature(temperature)
     sigma = control_marginal(rho, hamiltonian, weight)
     return _entropy_gap(eigens(rho), eigens(sigma), temperature)
 
@@ -123,6 +124,8 @@ def bound_report(
     sorted joint energy array, and the spectra of rho and sigma serve both
     the ergotropies and the entropy gap.
     """
+    # Every bath factor has two levels: check the joint size before building the bath.
+    _check_cap([hamiltonian.dim, *[2] * bath.n_qubits], DEFAULT_EXPANSION_CAP)
     sigma = control_marginal(rho, hamiltonian, weight)
     ensemble = bath_ensemble(bath)
     rho_spectrum, sigma_spectrum = eigens(rho), eigens(sigma)

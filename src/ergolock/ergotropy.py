@@ -22,6 +22,7 @@ from .spectra import (
     DiagonalHamiltonian,
     FactorizedEnsemble,
     SpectralEnsemble,
+    _check_temperature,
     average_energy,
     compensated_dot,
     eigens,
@@ -167,8 +168,7 @@ def theorem2_check(
     of their parents, so their free energies come straight from the joint
     (prob, energy) lists.
     """
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
+    _check_temperature(temperature)
     _check_dims(rho, hamiltonian)
     _check_dims(xi, hamiltonian)
     energies = _joint_energies(hamiltonian, bath, DEFAULT_EXPANSION_CAP)

@@ -240,10 +240,14 @@ def entropy(ensemble: SpectralEnsemble) -> float:
     return shannon_entropy(ensemble.probs)
 
 
-def free_energy(ensemble: SpectralEnsemble, temperature: float) -> float:
-    """F = E - T*S at the given temperature."""
+def _check_temperature(temperature: float) -> None:
     if not (math.isfinite(temperature) and temperature > 0):
         raise ValueError("temperature must be positive and finite")
+
+
+def free_energy(ensemble: SpectralEnsemble, temperature: float) -> float:
+    """F = E - T*S at the given temperature."""
+    _check_temperature(temperature)
     return average_energy(ensemble) - temperature * entropy(ensemble)
 
 

@@ -1,19 +1,26 @@
 """Seeded self-verification: fast path against the dense oracle, the two
 work-extraction theorems, and the channel invariants, on random instances.
 
-Each check runs `trials` independent trials. Trial randomness is derived
-from (master seed, trial index), so a summary is a pure function of its
-arguments.
+Every check goes through one runner, `_run_check`, with its own seed
+offset: trial i of a check draws all its randomness from
+`trial_seed(seed, offset + i)`, so a summary is a pure function of its
+arguments. A per-trial function builds one instance and returns
+`(violation, failed)` under the check's own tolerance, or None when the
+instance falls outside a conditional check's hypothesis; an ArithmeticError
+counts as a failure.
 """
 
 from __future__ import annotations
+
+import functools
+from typing import Callable
 
 import numpy as np
 
 from .bath import BathSpec, bath_ensemble, custom_bath, skrzypczyk_bath
 from .bounds import free_energy_bound
 from .config import ConfigError
-from .ergotropy import ergotropy_product, theorem2_check
+from .ergotropy import ergotropy_product, shared_bath_ergotropies, theorem2_check
 from .oracle import (
     MIXED_TRACE_NORMALIZED,
     PURE_HAAR,
@@ -72,189 +79,124 @@ def _random_weight(rng: np.random.Generator):
     return EnergyEigenstateWeight()
 
 
-def _check_fast_vs_dense(trials: int, seed: int, max_dim: int) -> dict:
-    failures = 0
-    worst = 0.0
-    for i in range(trials):
-        child = trial_seed(seed, i)
-        rng = _params_rng(child)
-        rho, hamiltonian = _random_system(rng, child)
-        temperature = float(rng.uniform(0.3, 3.0))
-        max_qubits = 1
-        while rho.dim * 2 ** (max_qubits + 1) <= max_dim:
-            max_qubits += 1
-        bath = _random_bath(rng, temperature, max_qubits)
-        try:
-            fast = ergotropy_product(rho, hamiltonian, bath_ensemble(bath))
-        except ArithmeticError:
-            failures += 1
-            continue
-        joint = dense_joint(rho, hamiltonian, bath)
-        dense = dense_ergotropy(joint.state, joint.hamiltonian)
-        violation = abs(fast - dense)
-        worst = max(worst, violation)
-        if violation > EQUIVALENCE_TOL:
-            failures += 1
-    return {"name": "fast_vs_dense_ergotropy", "trials": trials, "failures": failures,
-            "worst_violation": worst}
-
-
-def _check_theorem1(trials: int, seed: int) -> dict:
-    dims = (4, 6, 8)
-    failures = 0
-    worst = 0.0
-    for i in range(trials):
-        child = trial_seed(seed, 1_000_000 + i)
-        rng = _params_rng(child)
-        dim = dims[i % len(dims)]
-        sigma = random_state(RandomSpec(seed=child, dim=dim, kind=MIXED_TRACE_NORMALIZED))
-        hamiltonian = DiagonalHamiltonian(np.sort(rng.uniform(0.0, 3.0, dim)))
-        initial = dense_ergotropy(sigma, hamiltonian)
-        try:
-            result = theorem1_work(
-                random_unitary(RandomSpec(seed=child, dim=dim, kind=UNITARY_HAAR)),
-                sigma,
-                hamiltonian,
-            )
-            violation = max(
-                abs(result.work - (initial - result.residual_ergotropy)),
-                result.work - initial,
-            )
-            optimal = theorem1_work(passivizing_unitary(sigma, hamiltonian), sigma, hamiltonian)
-            violation = max(
-                violation, abs(optimal.work - initial), abs(optimal.residual_ergotropy)
-            )
-        except ArithmeticError:
-            failures += 1
-            continue
-        worst = max(worst, violation)
-        if violation > EQUIVALENCE_TOL:
-            failures += 1
-    return {"name": "theorem1_identity", "trials": trials, "failures": failures,
-            "worst_violation": worst}
-
-
-def _check_chain(trials: int, seed: int) -> dict:
-    failures = 0
+def _run_check(
+    name: str, offset: int, trials: int, seed: int, trial: Callable, conditional: bool = False
+) -> dict:
+    """Summary of ``trial(i, child, rng)`` over i < trials. ``worst_violation``
+    is the largest violation over the trials that returned one (0.0 if none
+    did); a conditional check also counts those trials as ``applicable``."""
+    failures = applicable = 0
     worst = -np.inf
     for i in range(trials):
-        child = trial_seed(seed, 2_000_000 + i)
-        rng = _params_rng(child)
-        rho, hamiltonian = _random_system(rng, child)
-        temperature = float(rng.uniform(0.3, 3.0))
-        bath = _random_bath(rng, temperature, 3)
-        weight = _random_weight(rng)
-        ensemble = bath_ensemble(bath)
+        child = trial_seed(seed, offset + i)
         try:
-            resource = ergotropy_product(rho, hamiltonian, ensemble)
-            tight = ergotropy_product(
-                control_marginal(rho, hamiltonian, weight), hamiltonian, ensemble
-            )
+            outcome = trial(i, child, _params_rng(child))
         except ArithmeticError:
             failures += 1
             continue
-        ceiling = free_energy_bound(rho, hamiltonian, temperature)
-        violation = max(tight - resource, resource - ceiling, -(resource - tight))
-        worst = max(worst, violation)
-        if violation > CHAIN_TOL:
-            failures += 1
-    return {"name": "inequality_chain", "trials": trials, "failures": failures,
-            "worst_violation": float(worst) if np.isfinite(worst) else 0.0}
-
-
-def _check_theorem2(trials: int, seed: int) -> dict:
-    failures = 0
-    applicable = 0
-    worst = -np.inf
-    for i in range(trials):
-        child = trial_seed(seed, 3_000_000 + i)
-        rng = _params_rng(child)
-        rho, hamiltonian = _random_system(rng, child, max_dim=3)
-        xi = random_state(
-            RandomSpec(seed=trial_seed(child, 1), dim=rho.dim, kind=MIXED_TRACE_NORMALIZED)
-        )
-        temperature = float(rng.uniform(0.3, 3.0))
-        bath = _random_bath(rng, temperature, 2)
-        try:
-            result = theorem2_check(rho, xi, hamiltonian, bath_ensemble(bath), temperature)
-        except ArithmeticError:
-            failures += 1
+        if outcome is None:
             continue
-        if not result.condition_holds:
-            continue  # hypothesis violated: excluded, never asserted
+        violation, failed = outcome
         applicable += 1
-        violation = result.lhs - result.rhs
         worst = max(worst, violation)
-        if violation > CHAIN_TOL:
+        if failed:
             failures += 1
-    return {"name": "theorem2_conditional", "trials": trials, "failures": failures,
-            "worst_violation": float(worst) if applicable and np.isfinite(worst) else 0.0,
-            "applicable": applicable}
+    summary = {"name": name, "trials": trials, "failures": failures,
+               "worst_violation": float(worst) if applicable else 0.0}
+    if conditional:
+        summary["applicable"] = applicable
+    return summary
 
 
-def _check_timestate(trials: int, seed: int) -> dict:
-    failures = 0
-    worst = 0.0
-    for i in range(trials):
-        child = trial_seed(seed, 4_000_000 + i)
-        rng = _params_rng(child)
-        rho, hamiltonian = _random_system(rng, child)
-        temperature = float(rng.uniform(0.3, 3.0))
-        bath = _random_bath(rng, temperature, 3)
-        weight = TimeStateWeight(t=float(rng.uniform(-5.0, 5.0)))
-        ensemble = bath_ensemble(bath)
-        try:
-            resource = ergotropy_product(rho, hamiltonian, ensemble)
-            tight = ergotropy_product(
-                control_marginal(rho, hamiltonian, weight), hamiltonian, ensemble
-            )
-        except ArithmeticError:
-            failures += 1
-            continue
-        violation = abs(resource - tight)
-        worst = max(worst, violation)
-        if violation > TIMESTATE_TOL:
-            failures += 1
-    return {"name": "timestate_locked_zero", "trials": trials, "failures": failures,
-            "worst_violation": worst}
+def _resource_and_tight(rho, hamiltonian, weight, bath: BathSpec) -> list[float]:
+    sigma = control_marginal(rho, hamiltonian, weight)
+    return shared_bath_ergotropies(
+        [(rho, eigens(rho)), (sigma, eigens(sigma))], hamiltonian, bath_ensemble(bath)
+    )
 
 
-def _check_dephasing(trials: int, seed: int) -> dict:
-    failures = 0
-    worst = 0.0
-    for i in range(trials):
-        child = trial_seed(seed, 5_000_000 + i)
-        rng = _params_rng(child)
-        rho, hamiltonian = _random_system(rng, child)
-        sigma = control_marginal(rho, hamiltonian, EnergyEigenstateWeight())
-        off = sigma.entries - np.diag(np.diagonal(sigma.entries))
-        violation = float(np.max(np.abs(off)))
-        worst = max(worst, violation)
-        if violation != 0.0:  # dephasing must zero coherences exactly
-            failures += 1
-    return {"name": "energy_eigenstate_dephasing", "trials": trials, "failures": failures,
-            "worst_violation": worst}
+def _fast_vs_dense(i: int, child: int, rng: np.random.Generator, max_dim: int):
+    rho, hamiltonian = _random_system(rng, child)
+    temperature = float(rng.uniform(0.3, 3.0))
+    max_qubits = 1
+    while rho.dim * 2 ** (max_qubits + 1) <= max_dim:
+        max_qubits += 1
+    bath = _random_bath(rng, temperature, max_qubits)
+    fast = ergotropy_product(rho, hamiltonian, bath_ensemble(bath))
+    joint = dense_joint(rho, hamiltonian, bath)
+    violation = abs(fast - dense_ergotropy(joint.state, joint.hamiltonian))
+    return violation, violation > EQUIVALENCE_TOL
 
 
-def _check_channel_invariants(trials: int, seed: int) -> dict:
-    failures = 0
-    worst = 0.0
-    for i in range(trials):
-        child = trial_seed(seed, 6_000_000 + i)
-        rng = _params_rng(child)
-        rho, hamiltonian = _random_system(rng, child)
-        sigma = control_marginal(rho, hamiltonian, _random_weight(rng))
-        energy_shift = abs(
-            compensated_dot(sigma.diagonal(), hamiltonian.energies)
-            - compensated_dot(rho.diagonal(), hamiltonian.energies)
-        )
-        entropy_drop = shannon_entropy(eigens(rho)) - shannon_entropy(eigens(sigma))
-        violation = max(energy_shift, entropy_drop)
-        worst = max(worst, violation)
-        if energy_shift > ENERGY_TOL or entropy_drop > ENTROPY_TOL:
-            failures += 1
-    return {"name": "control_marginal_invariants", "trials": trials, "failures": failures,
-            "worst_violation": worst}
+def _theorem1(i: int, child: int, rng: np.random.Generator):
+    dim = (4, 6, 8)[i % 3]
+    sigma = random_state(RandomSpec(seed=child, dim=dim, kind=MIXED_TRACE_NORMALIZED))
+    hamiltonian = DiagonalHamiltonian(np.sort(rng.uniform(0.0, 3.0, dim)))
+    initial = dense_ergotropy(sigma, hamiltonian)
+    unitary = random_unitary(RandomSpec(seed=child, dim=dim, kind=UNITARY_HAAR))
+    result = theorem1_work(unitary, sigma, hamiltonian)
+    optimal = theorem1_work(passivizing_unitary(sigma, hamiltonian), sigma, hamiltonian)
+    violation = max(
+        abs(result.work - (initial - result.residual_ergotropy)),
+        result.work - initial,
+        abs(optimal.work - initial),
+        abs(optimal.residual_ergotropy),
+    )
+    return violation, violation > EQUIVALENCE_TOL
+
+
+def _chain(i: int, child: int, rng: np.random.Generator):
+    rho, hamiltonian = _random_system(rng, child)
+    temperature = float(rng.uniform(0.3, 3.0))
+    bath = _random_bath(rng, temperature, 3)
+    resource, tight = _resource_and_tight(rho, hamiltonian, _random_weight(rng), bath)
+    ceiling = free_energy_bound(rho, hamiltonian, temperature)
+    violation = max(tight - resource, resource - ceiling)
+    return violation, violation > CHAIN_TOL
+
+
+def _theorem2(i: int, child: int, rng: np.random.Generator):
+    rho, hamiltonian = _random_system(rng, child, max_dim=3)
+    xi = random_state(
+        RandomSpec(seed=trial_seed(child, 1), dim=rho.dim, kind=MIXED_TRACE_NORMALIZED)
+    )
+    temperature = float(rng.uniform(0.3, 3.0))
+    bath = _random_bath(rng, temperature, 2)
+    result = theorem2_check(rho, xi, hamiltonian, bath_ensemble(bath), temperature)
+    if not result.condition_holds:
+        return None  # hypothesis violated: excluded, never asserted
+    violation = result.lhs - result.rhs
+    return violation, violation > CHAIN_TOL
+
+
+def _timestate(i: int, child: int, rng: np.random.Generator):
+    rho, hamiltonian = _random_system(rng, child)
+    temperature = float(rng.uniform(0.3, 3.0))
+    bath = _random_bath(rng, temperature, 3)
+    weight = TimeStateWeight(t=float(rng.uniform(-5.0, 5.0)))
+    resource, tight = _resource_and_tight(rho, hamiltonian, weight, bath)
+    violation = abs(resource - tight)
+    return violation, violation > TIMESTATE_TOL
+
+
+def _dephasing(i: int, child: int, rng: np.random.Generator):
+    rho, hamiltonian = _random_system(rng, child)
+    sigma = control_marginal(rho, hamiltonian, EnergyEigenstateWeight())
+    off = sigma.entries - np.diag(np.diagonal(sigma.entries))
+    violation = float(np.max(np.abs(off)))
+    return violation, violation != 0.0  # dephasing must zero coherences exactly
+
+
+def _channel_invariants(i: int, child: int, rng: np.random.Generator):
+    rho, hamiltonian = _random_system(rng, child)
+    sigma = control_marginal(rho, hamiltonian, _random_weight(rng))
+    energy_shift = abs(
+        compensated_dot(sigma.diagonal(), hamiltonian.energies)
+        - compensated_dot(rho.diagonal(), hamiltonian.energies)
+    )
+    entropy_drop = shannon_entropy(eigens(rho)) - shannon_entropy(eigens(sigma))
+    violation = max(energy_shift, entropy_drop)
+    return violation, energy_shift > ENERGY_TOL or entropy_drop > ENTROPY_TOL
 
 
 def run_verification(trials: int, seed: int, max_dim: int = 64) -> dict:
@@ -268,12 +210,13 @@ def run_verification(trials: int, seed: int, max_dim: int = 64) -> dict:
     if max_dim < 8:
         raise ConfigError("max_dim: must be at least 8")
     checks = [
-        _check_fast_vs_dense(trials, seed, max_dim),
-        _check_theorem1(trials, seed),
-        _check_chain(trials, seed),
-        _check_theorem2(trials, seed),
-        _check_timestate(trials, seed),
-        _check_dephasing(trials, seed),
-        _check_channel_invariants(trials, seed),
+        _run_check("fast_vs_dense_ergotropy", 0, trials, seed,
+                   functools.partial(_fast_vs_dense, max_dim=max_dim)),
+        _run_check("theorem1_identity", 1_000_000, trials, seed, _theorem1),
+        _run_check("inequality_chain", 2_000_000, trials, seed, _chain),
+        _run_check("theorem2_conditional", 3_000_000, trials, seed, _theorem2, conditional=True),
+        _run_check("timestate_locked_zero", 4_000_000, trials, seed, _timestate),
+        _run_check("energy_eigenstate_dephasing", 5_000_000, trials, seed, _dephasing),
+        _run_check("control_marginal_invariants", 6_000_000, trials, seed, _channel_invariants),
     ]
     return {"checks": checks, "pass": all(c["failures"] == 0 for c in checks)}

@@ -3,19 +3,23 @@ import math
 import numpy as np
 import pytest
 
+import ergolock.bounds
 from ergolock import (
     BoundReport,
     DensityOperator,
     DiagonalHamiltonian,
     EnergyEigenstateWeight,
     GaussianWeight,
+    SizeCapError,
     TimeStateWeight,
+    bath_ensemble,
     bound_report,
     custom_bath,
     free_energy_bound,
     gibbs_ensemble,
     locked_energy,
     skrzypczyk_bath,
+    theorem2_check,
     thermo_limit_locked,
     tight_bound,
 )
@@ -216,3 +220,31 @@ class TestProductionScaleInvariants:
         got = bound_report(plus_state, qubit_h, unit_gaussian, reversed_bath).as_dict()
         for key, value in expected.items():
             assert abs(got[key] - value) <= 1e-12, key
+
+
+TEMPERATURE_TAKERS = {
+    "free_energy_bound": free_energy_bound,
+    "thermo_limit_locked": lambda rho, h, t: thermo_limit_locked(rho, h, GaussianWeight(1.0), t),
+    "theorem2_check": lambda rho, h, t: theorem2_check(
+        rho, gibbs_state(h, 1.0), h, bath_ensemble(skrzypczyk_bath(1, 1.0, 1.0)), t
+    ),
+}
+
+
+class TestInputGuards:
+    @pytest.mark.parametrize("temperature", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("name", sorted(TEMPERATURE_TAKERS))
+    def test_temperature_must_be_positive_and_finite(self, plus_state, qubit_h, name, temperature):
+        with pytest.raises(ValueError, match="temperature must be positive and finite"):
+            TEMPERATURE_TAKERS[name](plus_state, qubit_h, temperature)
+
+    def test_size_cap_is_checked_before_the_bath_is_built(
+        self, monkeypatch, plus_state, qubit_h, unit_gaussian
+    ):
+        def refuse(bath):
+            raise AssertionError("bath_ensemble ran before the size cap")
+
+        monkeypatch.setattr(ergolock.bounds, "bath_ensemble", refuse)
+        with pytest.raises(SizeCapError) as info:
+            bound_report(plus_state, qubit_h, unit_gaussian, skrzypczyk_bath(100_000, 1.0, 1.0))
+        assert info.value.size == 2 * 2**100_000

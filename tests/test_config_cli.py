@@ -1,6 +1,9 @@
+import csv
 import importlib
+import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +18,9 @@ from ergolock import (
     skrzypczyk_bath,
 )
 from ergolock.cli import CSV_COLUMNS, emit_csv, emit_json, main, run_report, run_sweep
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def base_config(**overrides) -> dict:
@@ -319,6 +325,45 @@ class TestCliProcess:
         for check in summary["checks"]:
             assert check["failures"] == 0
             assert set(check) >= {"name", "trials", "failures", "worst_violation"}
+
+    def test_verify_summary_is_pinned(self):
+        summary = run_verification(trials=20, seed=7)
+        checks = {c["name"]: c for c in summary["checks"]}
+        assert list(checks) == [
+            "fast_vs_dense_ergotropy",
+            "theorem1_identity",
+            "inequality_chain",
+            "theorem2_conditional",
+            "timestate_locked_zero",
+            "energy_eigenstate_dephasing",
+            "control_marginal_invariants",
+        ]
+        assert all(c["trials"] == 20 and c["failures"] == 0 for c in checks.values())
+        assert checks["theorem2_conditional"]["applicable"] == 18
+        assert [n for n, c in checks.items() if "applicable" in c] == ["theorem2_conditional"]
+        for name in ("fast_vs_dense_ergotropy", "theorem1_identity", "timestate_locked_zero",
+                     "energy_eigenstate_dephasing", "control_marginal_invariants"):
+            assert 0.0 <= checks[name]["worst_violation"] <= 1e-12
+        assert summary["pass"] is True
+
+    @pytest.mark.parametrize("name, command, rows", [
+        ("bath_size_sweep", "sweep", 14),
+        ("weight_width_sweep", "sweep", 25),
+        ("n1_report", "report", 1),
+    ])
+    def test_shipped_config_runs(self, tmp_path, name, command, rows):
+        out = tmp_path / "out"
+        config = str(CONFIGS / f"{name}.json")
+        assert main([command, "--config", config, "--seed", "42", "--out", str(out)]) == 0
+        text = out.read_text()
+        if text.startswith("["):
+            records = json.loads(text)
+        else:
+            records = list(csv.DictReader(io.StringIO(text)))
+        assert len(records) == rows
+        if name == "weight_width_sweep":
+            # A sigma sweep leaves rho x tau_B, and so the resource ergotropy, unchanged.
+            assert len({r["resource_ergotropy"] for r in records}) == 1
 
     def test_verify_zero_trials_refused(self, capsys):
         assert main(["verify", "--trials", "0"]) == 2
