@@ -10,6 +10,7 @@ from .bath import BathSpec, bath_ensemble, custom_bath, skrzypczyk_bath
 from .bounds import (
     BoundReport,
     bound_report,
+    bound_reports,
     free_energy_bound,
     locked_energy,
     thermo_limit_locked,
@@ -90,6 +91,7 @@ __all__ = [
     "average_energy",
     "bath_ensemble",
     "bound_report",
+    "bound_reports",
     "characteristic_factor",
     "compensated_dot",
     "compensated_sum",

@@ -65,6 +65,11 @@ def free_energy_bound(
     return state_free_energy(rho, hamiltonian, temperature) - free_energy(thermal, temperature)
 
 
+def _check_bath_cap(hamiltonian: DiagonalHamiltonian, bath: BathSpec) -> None:
+    # Every bath factor has two levels: check the joint size before building the bath.
+    _check_cap([hamiltonian.dim, *[2] * bath.n_qubits], DEFAULT_EXPANSION_CAP)
+
+
 def tight_bound(
     rho: DensityOperator,
     hamiltonian: DiagonalHamiltonian,
@@ -73,6 +78,7 @@ def tight_bound(
 ) -> float:
     """Optimal extractable work: joint ergotropy of the weight-averaged
     system state with the bath. Weight-independent for diagonal states."""
+    _check_bath_cap(hamiltonian, bath)
     sigma = control_marginal(rho, hamiltonian, weight)
     return ergotropy_product(sigma, hamiltonian, bath_ensemble(bath))
 
@@ -116,26 +122,37 @@ def bound_report(
     weight: WeightModel,
     bath: BathSpec,
 ) -> BoundReport:
-    """Evaluate the full bound chain at one parameter point.
+    """Evaluate the full bound chain at one parameter point."""
+    return bound_reports(rho, hamiltonian, [weight], bath)[0]
 
-    The weight-averaged state and the bath ensemble are computed once and
-    shared by every derived field, so the report is consistent under
-    floating-point noise by construction. The two ergotropies share one
-    sorted joint energy array, and the spectra of rho and sigma serve both
-    the ergotropies and the entropy gap.
+
+def bound_reports(
+    rho: DensityOperator,
+    hamiltonian: DiagonalHamiltonian,
+    weights: list[WeightModel],
+    bath: BathSpec,
+) -> list[BoundReport]:
+    """Evaluate the full bound chain for each weight on one bath.
+
+    The bath ensemble, the sorted joint energies, the resource ergotropy and
+    the free-energy ceiling are computed once and shared by every report, so
+    the reports are consistent under floating-point noise by construction;
+    each weight adds its averaged state sigma, one joint probability array
+    and the entropy gap. Each report equals the single-weight one bit for bit.
     """
-    # Every bath factor has two levels: check the joint size before building the bath.
-    _check_cap([hamiltonian.dim, *[2] * bath.n_qubits], DEFAULT_EXPANSION_CAP)
-    sigma = control_marginal(rho, hamiltonian, weight)
+    _check_bath_cap(hamiltonian, bath)
+    states = [rho, *(control_marginal(rho, hamiltonian, weight) for weight in weights)]
     ensemble = bath_ensemble(bath)
-    rho_spectrum, sigma_spectrum = eigens(rho), eigens(sigma)
-    resource, tight = shared_bath_ergotropies(
-        [(rho, rho_spectrum), (sigma, sigma_spectrum)], hamiltonian, ensemble
-    )
-    return BoundReport(
-        tight_bound=tight,
-        resource_ergotropy=resource,
-        locked_energy=resource - tight,
-        free_energy_bound=free_energy_bound(rho, hamiltonian, bath.T),
-        thermo_limit_locked=_entropy_gap(rho_spectrum, sigma_spectrum, bath.T),
-    )
+    spectra = [eigens(state) for state in states]
+    resource, *tights = shared_bath_ergotropies(list(zip(states, spectra)), hamiltonian, ensemble)
+    ceiling = free_energy_bound(rho, hamiltonian, bath.T)
+    return [
+        BoundReport(
+            tight_bound=tight,
+            resource_ergotropy=resource,
+            locked_energy=resource - tight,
+            free_energy_bound=ceiling,
+            thermo_limit_locked=_entropy_gap(spectra[0], sigma_spectrum, bath.T),
+        )
+        for tight, sigma_spectrum in zip(tights, spectra[1:])
+    ]

@@ -13,14 +13,13 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 
-from .bath import BathSpec
-from .bounds import BoundReport, bound_report
+from .bounds import BoundReport, bound_reports
 from .config import ConfigError, ExperimentConfig, load_config
 from .spectra import SizeCapError
 from .verify import run_verification
-from .weight import WeightModel
 
 CSV_COLUMNS = (
     "sweep_parameter",
@@ -45,41 +44,46 @@ class SweepRow:
     wall_time_ms: float
 
 
-def _evaluate_point(
-    config: ExperimentConfig, parameter: str, value: float, point: tuple[WeightModel, BathSpec]
-) -> SweepRow:
+def _evaluate_group(config: ExperimentConfig, parameter: str, group: list) -> list[SweepRow]:
+    # (value, (weight, bath)) pairs on one bath; each row gets an equal share of the time.
+    values, points = zip(*group)
+    weights = [weight for weight, _ in points]
     start = time.perf_counter()
-    report, error = None, None
+    reports, error = [None] * len(group), None
     try:
-        report = bound_report(config.state, config.hamiltonian, *point)
+        reports = bound_reports(config.state, config.hamiltonian, weights, points[0][1])
     except SizeCapError:
         error = SIZE_CAP_MARKER
-    return SweepRow(parameter, value, report, error, (time.perf_counter() - start) * 1e3)
+    wall_time_ms = (time.perf_counter() - start) * 1e3 / len(group)
+    return [SweepRow(parameter, v, r, error, wall_time_ms) for v, r in zip(values, reports)]
 
 
 def run_sweep(config: ExperimentConfig, threads: int = 1) -> list[SweepRow]:
     """Evaluate every sweep point; rows come back in sweep order.
 
-    A point that overflows the expansion cap is marked and the run
-    continues. Points are independent pure computations, so any thread
-    count gives identical values.
+    Consecutive points on one bath object (all of a sigma sweep's points)
+    form a group that one ``bound_reports`` call evaluates. A group past the
+    expansion cap marks its rows and the run continues. Groups are
+    independent pure computations, so any thread count gives identical values.
     """
     if config.sweep is None:
         raise ConfigError("sweep: this config has no sweep section")
     parameter = config.sweep.parameter
-    values = config.sweep.values
-    points = config.sweep.points
+    # BathSpec compares by identity: a group ends where the bath object changes.
+    pairs = zip(config.sweep.values, config.sweep.points)
+    groups = [list(group) for _, group in groupby(pairs, key=lambda pair: pair[1][1])]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(
-                pool.map(lambda v, p: _evaluate_point(config, parameter, v, p), values, points)
-            )
-    return [_evaluate_point(config, parameter, v, p) for v, p in zip(values, points)]
+            chunks = list(pool.map(lambda g: _evaluate_group(config, parameter, g), groups))
+    else:
+        chunks = [_evaluate_group(config, parameter, g) for g in groups]
+    return [row for chunk in chunks for row in chunk]
 
 
 def run_report(config: ExperimentConfig) -> SweepRow:
     """Evaluate the config's fixed parameter point (any sweep section is ignored)."""
-    return _evaluate_point(config, "point", 0.0, (config.weight, config.bath))
+    (row,) = _evaluate_group(config, "point", [(0.0, (config.weight, config.bath))])
+    return row
 
 
 def _fmt(value: float) -> str:

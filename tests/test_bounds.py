@@ -5,24 +5,31 @@ import pytest
 
 import ergolock.bounds
 from ergolock import (
+    BathSpec,
     BoundReport,
+    CustomWeight,
     DensityOperator,
     DiagonalHamiltonian,
     EnergyEigenstateWeight,
     GaussianWeight,
+    RandomSpec,
     SizeCapError,
     TimeStateWeight,
     bath_ensemble,
     bound_report,
+    bound_reports,
     custom_bath,
+    ergotropy_product,
     free_energy_bound,
     gibbs_ensemble,
     locked_energy,
+    random_state,
     skrzypczyk_bath,
     theorem2_check,
     thermo_limit_locked,
     tight_bound,
 )
+from ergolock.oracle import MIXED_TRACE_NORMALIZED, PURE_HAAR
 
 # Frozen from the independent dense brute force of the worked N = 1 point.
 WORKED = {
@@ -196,6 +203,43 @@ class TestBoundReport:
             )
 
 
+class TestBoundReports:
+    """The shared-bath kernel: every report of a weight list equals the
+    single-weight report and the standalone functions bit for bit."""
+
+    WEIGHTS = [
+        GaussianWeight(sigma=0.3),
+        TimeStateWeight(t=1.7),
+        EnergyEigenstateWeight(),
+        CustomWeight(phi=lambda d: math.exp(-abs(d))),
+        GaussianWeight(sigma=4.0),
+    ]
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 10])
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("kind", [PURE_HAAR, MIXED_TRACE_NORMALIZED])
+    def test_each_report_equals_the_single_weight_report(self, kind, dim, n):
+        seed = 100 * dim + n
+        rho = random_state(RandomSpec(seed=seed, dim=dim, kind=kind))
+        h = DiagonalHamiltonian(np.random.default_rng(seed).uniform(0.0, 2.0, dim))
+        # N = 0 is the bathless point a sweep config can ask for.
+        bath = skrzypczyk_bath(n, 0.8, 1.0) if n else BathSpec(T=0.8, gaps=np.empty(0))
+        reports = bound_reports(rho, h, self.WEIGHTS, bath)
+        assert len(reports) == len(self.WEIGHTS)
+        resource = ergotropy_product(rho, h, bath_ensemble(bath))
+        ceiling = free_energy_bound(rho, h, bath.T)
+        for weight, report in zip(self.WEIGHTS, reports):
+            got = report.as_dict()
+            assert got == bound_report(rho, h, weight, bath).as_dict()
+            assert got["tight_bound"] == tight_bound(rho, h, weight, bath)
+            assert got["resource_ergotropy"] == resource
+            assert got["free_energy_bound"] == ceiling
+            assert got["thermo_limit_locked"] == thermo_limit_locked(rho, h, weight, bath.T)
+
+    def test_empty_weight_list_gives_no_reports(self, plus_state, qubit_h, n1_bath):
+        assert bound_reports(plus_state, qubit_h, [], n1_bath) == []
+
+
 class TestProductionScaleInvariants:
     """Invariants that hold exactly in theory, checked at N = 20 (2^21 joint
     elements), beyond the reach of the dense oracle."""
@@ -247,4 +291,20 @@ class TestInputGuards:
         monkeypatch.setattr(ergolock.bounds, "bath_ensemble", refuse)
         with pytest.raises(SizeCapError) as info:
             bound_report(plus_state, qubit_h, unit_gaussian, skrzypczyk_bath(100_000, 1.0, 1.0))
+        assert info.value.size == 2 * 2**100_000
+
+    @pytest.mark.parametrize(
+        "evaluate",
+        [tight_bound, lambda rho, h, w, b: bound_reports(rho, h, [w, w], b)],
+        ids=["tight_bound", "bound_reports"],
+    )
+    def test_size_cap_comes_before_any_bath_build(
+        self, monkeypatch, plus_state, qubit_h, unit_gaussian, evaluate
+    ):
+        def refuse(bath):
+            raise AssertionError("bath_ensemble ran before the size cap")
+
+        monkeypatch.setattr(ergolock.bounds, "bath_ensemble", refuse)
+        with pytest.raises(SizeCapError) as info:
+            evaluate(plus_state, qubit_h, unit_gaussian, skrzypczyk_bath(100_000, 1.0, 1.0))
         assert info.value.size == 2 * 2**100_000

@@ -3,11 +3,13 @@ import importlib
 import io
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ergolock.bounds
 from ergolock import (
     ConfigError,
     GaussianWeight,
@@ -19,6 +21,9 @@ from ergolock import (
 )
 from ergolock.cli import CSV_COLUMNS, emit_csv, emit_json, main, run_report, run_sweep
 
+
+# ``ergolock.ergotropy`` is the re-exported function, not the submodule.
+ERGOTROPY_MODULE = importlib.import_module("ergolock.ergotropy")
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -32,6 +37,16 @@ def base_config(**overrides) -> dict:
     }
     data.update(overrides)
     return data
+
+
+SIGMA_RANGE = {"from": 0.1, "to": 10.0, "steps": 25, "spacing": "log"}
+
+
+def sigma_sweep_config(n: int) -> dict:
+    return base_config(
+        bath={"model": "skrzypczyk", "N": n, "omega": 1.0},
+        sweep={"parameter": "sigma_over_omega", "range": SIGMA_RANGE},
+    )
 
 
 LOG_RANGE_TO_ZERO = {"from": 0.1, "to": 0.0, "steps": 3, "spacing": "log"}
@@ -191,6 +206,34 @@ class TestSweepEngine:
         threaded = [r.report.as_dict() for r in run_sweep(config, threads=4)]
         assert serial == threaded
 
+    def test_thread_count_does_not_change_sigma_sweep_values(self):
+        config = parse_config(sigma_sweep_config(4))
+        serial = [(r.value, r.report.as_dict()) for r in run_sweep(config, threads=1)]
+        threaded = [(r.value, r.report.as_dict()) for r in run_sweep(config, threads=2)]
+        assert serial == threaded
+
+    def test_sigma_sweep_shares_one_bath_and_one_energy_array(self, monkeypatch):
+        # The weight-independent work of a sigma sweep is done once: one bath
+        # build, one sorted joint energy array, and the joint probabilities
+        # of rho once plus those of each point's sigma.
+        calls = Counter()
+        build_bath, build_joint = ergolock.bounds.bath_ensemble, ERGOTROPY_MODULE.sorted_joint
+
+        def counted_bath(bath):
+            calls["bath_ensemble"] += 1
+            return build_bath(bath)
+
+        def counted_joint(seed, factors, combine, cap):
+            calls[combine.__name__] += 1
+            return build_joint(seed, factors, combine, cap)
+
+        monkeypatch.setattr(ergolock.bounds, "bath_ensemble", counted_bath)
+        monkeypatch.setattr(ERGOTROPY_MODULE, "sorted_joint", counted_joint)
+        rows = run_sweep(parse_config(sigma_sweep_config(4)))
+        assert len(rows) == 25
+        assert all(row.report is not None for row in rows)
+        assert calls == {"bath_ensemble": 1, "add": 1, "multiply": 26}
+
     def test_capped_point_is_marked_and_run_continues(self):
         config = parse_config(base_config(sweep={"parameter": "N", "values": [2, 27]}))
         rows = run_sweep(config)
@@ -312,6 +355,25 @@ class TestCliProcess:
         assert small["resource_ergotropy"] is not None
         assert huge["value"] == 20000.0
         assert huge["error"] == "size-cap"
+
+    def test_capped_sigma_sweep_marks_every_row(self, tmp_path):
+        cfg = self.write_config(tmp_path, sigma_sweep_config(27))
+        out = tmp_path / "o.json"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--format", "json"]) == 3
+        records = json.loads(out.read_text())
+        assert len(records) == 25
+        assert all(r["error"] == "size-cap" and r["tight_bound"] is None for r in records)
+
+    def test_shared_bath_rows_record_an_equal_time_share(self, tmp_path):
+        # Unseeded, so the timing column is recorded: each row of the one
+        # shared-bath group carries the group's time over its point count.
+        cfg = self.write_config(tmp_path, sigma_sweep_config(4))
+        out = tmp_path / "o.json"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
+        times = {r["wall_time_ms"] for r in json.loads(out.read_text())}
+        assert len(times) == 1
+        (share,) = times
+        assert math.isfinite(share) and share > 0.0
 
     def test_verify_passes_and_is_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "v1.json", tmp_path / "v2.json"
