@@ -52,7 +52,10 @@ def skrzypczyk_bath(n: int, temperature: float, omega: float) -> BathSpec:
     boltzmann = math.exp(-omega / temperature)
     delta = boltzmann / (n * (1.0 + boltzmann))
     k = np.arange(1, n + 1, dtype=np.float64)
-    gaps = temperature * np.log((1.0 - k * delta) / (k * delta))
+    # At extreme omega/T the populations round to 0 or to 1/2 and a gap to
+    # inf or 0; BathSpec refuses those gaps.
+    with np.errstate(divide="ignore", over="ignore"):
+        gaps = temperature * np.log((1.0 - k * delta) / (k * delta))
     return BathSpec(T=temperature, gaps=gaps)
 
 

@@ -5,8 +5,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from .bath import BathSpec, bath_ensemble
 from .ergotropy import ergotropy_product, shared_bath_ergotropies
 from .spectra import (
@@ -93,8 +91,8 @@ def locked_energy(
     return bound_report(rho, hamiltonian, weight, bath).locked_energy
 
 
-def _entropy_gap(rho_spectrum: np.ndarray, sigma_spectrum: np.ndarray, temperature: float) -> float:
-    return temperature * (shannon_entropy(sigma_spectrum) - shannon_entropy(rho_spectrum))
+def _entropy_gap(rho: DensityOperator, sigma: DensityOperator, temperature: float) -> float:
+    return temperature * (shannon_entropy(eigens(sigma)) - shannon_entropy(eigens(rho)))
 
 
 def thermo_limit_locked(
@@ -113,7 +111,7 @@ def thermo_limit_locked(
     """
     _check_temperature(temperature)
     sigma = control_marginal(rho, hamiltonian, weight)
-    return _entropy_gap(eigens(rho), eigens(sigma), temperature)
+    return _entropy_gap(rho, sigma, temperature)
 
 
 def bound_report(
@@ -142,9 +140,7 @@ def bound_reports(
     """
     _check_bath_cap(hamiltonian, bath)
     states = [rho, *(control_marginal(rho, hamiltonian, weight) for weight in weights)]
-    ensemble = bath_ensemble(bath)
-    spectra = [eigens(state) for state in states]
-    resource, *tights = shared_bath_ergotropies(list(zip(states, spectra)), hamiltonian, ensemble)
+    resource, *tights = shared_bath_ergotropies(states, hamiltonian, bath_ensemble(bath))
     ceiling = free_energy_bound(rho, hamiltonian, bath.T)
     return [
         BoundReport(
@@ -152,7 +148,7 @@ def bound_reports(
             resource_ergotropy=resource,
             locked_energy=resource - tight,
             free_energy_bound=ceiling,
-            thermo_limit_locked=_entropy_gap(spectra[0], sigma_spectrum, bath.T),
+            thermo_limit_locked=_entropy_gap(rho, sigma, bath.T),
         )
-        for tight, sigma_spectrum in zip(tights, spectra[1:])
+        for tight, sigma in zip(tights, states[1:])
     ]

@@ -212,7 +212,10 @@ def parse_config(data: dict) -> ExperimentConfig:
         _check_keys(raw_bath, {"model", "N", "omega"}, "bath")
         bath_n = _as_int(_require(raw_bath, "N", "bath"), "bath.N", minimum=0)
         omega = _as_positive(_require(raw_bath, "omega", "bath"), "bath.omega")
-        bath = _ladder_bath(bath_n, temperature, omega)
+        try:
+            bath = _ladder_bath(bath_n, temperature, omega)
+        except ValueError as exc:
+            raise _fail("bath", str(exc)) from exc
     elif model == "custom":
         _check_keys(raw_bath, {"model", "gaps"}, "bath")
         bath = custom_bath(temperature, _as_gaps(_require(raw_bath, "gaps", "bath"), "bath.gaps"))

@@ -26,6 +26,7 @@ from .spectra import (
     average_energy,
     compensated_dot,
     eigens,
+    entropy,
     shannon_entropy,
     sorted_joint,
     state_free_energy,
@@ -58,19 +59,23 @@ def ergotropy(ensemble: SpectralEnsemble) -> float:
     return value
 
 
-def _check_dims(system: DensityOperator, hamiltonian: DiagonalHamiltonian) -> None:
-    if system.dim != hamiltonian.dim:
+def _passive_energies(
+    systems: Sequence[DensityOperator],
+    hamiltonian: DiagonalHamiltonian,
+    bath: FactorizedEnsemble,
+    cap: int,
+) -> list[float]:
+    # Passive energy of each (state x bath). The joint energies are built
+    # once; each state's joint probabilities live only for its own dot, so
+    # one probability array is held at a time, however many states there are.
+    if any(system.dim != hamiltonian.dim for system in systems):
         raise ValueError("system state and Hamiltonian dimensions differ")
-
-
-def _joint_probs(eigenvalues: np.ndarray, bath: FactorizedEnsemble, cap: int) -> np.ndarray:
-    return sorted_joint(eigenvalues, [f.probs for f in bath.factors], np.multiply, cap)
-
-
-def _joint_energies(
-    hamiltonian: DiagonalHamiltonian, bath: FactorizedEnsemble, cap: int
-) -> np.ndarray:
-    return sorted_joint(hamiltonian.energies, [f.energies for f in bath.factors], np.add, cap)
+    energies = sorted_joint(hamiltonian.energies, [f.energies for f in bath.factors], np.add, cap)
+    bath_probs = [f.probs for f in bath.factors]
+    return [
+        _sorted_passive(sorted_joint(eigens(system), bath_probs, np.multiply, cap), energies)
+        for system in systems
+    ]
 
 
 def _joint_average_energy(
@@ -96,30 +101,25 @@ def ergotropy_product(
     built in ascending order by :func:`spectra.sorted_joint`; the mean energy
     is taken additively from the system matrix diagonal and the bath factors.
     """
-    (value,) = shared_bath_ergotropies([(system, eigens(system))], hamiltonian, bath, cap)
+    (value,) = shared_bath_ergotropies([system], hamiltonian, bath, cap)
     return value
 
 
 def shared_bath_ergotropies(
-    systems: Sequence[tuple[DensityOperator, np.ndarray]],
+    systems: Sequence[DensityOperator],
     hamiltonian: DiagonalHamiltonian,
     bath: FactorizedEnsemble,
     cap: int = DEFAULT_EXPANSION_CAP,
 ) -> list[float]:
-    """:func:`ergotropy_product` of each ``(state, eigens(state))`` pair with
-    the same bath.
+    """:func:`ergotropy_product` of each state with the same bath.
 
-    The states share the joint energy multiset, so it is built once; the
-    caller passes the spectra it already holds, so none is recomputed.
-    Each value equals ``ergotropy_product(state, hamiltonian, bath, cap)``
-    bit for bit.
+    The states share the joint energy multiset, so it is built once. Each
+    value equals ``ergotropy_product(state, hamiltonian, bath, cap)`` bit
+    for bit.
     """
-    for system, _ in systems:
-        _check_dims(system, hamiltonian)
-    energies = _joint_energies(hamiltonian, bath, cap)
+    passives = _passive_energies(systems, hamiltonian, bath, cap)
     values = []
-    for system, spectrum in systems:
-        passive = _sorted_passive(_joint_probs(spectrum, bath, cap), energies)
+    for system, passive in zip(systems, passives):
         value = _joint_average_energy(system, hamiltonian, bath) - passive
         if value < ERGOTROPY_FLOOR:
             raise ArithmeticError(f"ergotropy {value:.3e} below the numerical floor")
@@ -164,21 +164,17 @@ def theorem2_check(
 
     Evaluates the hypothesis F(passive of xi x bath) <= F(passive of
     rho x bath); when it holds, lhs = R(rho x bath) - R(xi x bath) must not
-    exceed rhs = F(rho) - F(xi). The passive joint states share the spectrum
-    of their parents, so their free energies come straight from the joint
-    (prob, energy) lists.
+    exceed rhs = F(rho) - F(xi). A passive joint state has the spectrum of
+    its parent, and entropy adds over a product, so its entropy is
+    S(state) + sum of the bath factor entropies; no joint array is summed.
     """
     _check_temperature(temperature)
-    _check_dims(rho, hamiltonian)
-    _check_dims(xi, hamiltonian)
-    energies = _joint_energies(hamiltonian, bath, DEFAULT_EXPANSION_CAP)
-    rho_probs = _joint_probs(eigens(rho), bath, DEFAULT_EXPANSION_CAP)
-    xi_probs = _joint_probs(eigens(xi), bath, DEFAULT_EXPANSION_CAP)
-
-    rho_passive = _sorted_passive(rho_probs, energies)
-    xi_passive = _sorted_passive(xi_probs, energies)
-    free_rho_passive = rho_passive - temperature * shannon_entropy(rho_probs)
-    free_xi_passive = xi_passive - temperature * shannon_entropy(xi_probs)
+    rho_passive, xi_passive = _passive_energies(
+        [rho, xi], hamiltonian, bath, DEFAULT_EXPANSION_CAP
+    )
+    bath_entropy = sum(entropy(f) for f in bath.factors)
+    free_rho_passive = rho_passive - temperature * (shannon_entropy(eigens(rho)) + bath_entropy)
+    free_xi_passive = xi_passive - temperature * (shannon_entropy(eigens(xi)) + bath_entropy)
     condition = free_xi_passive <= free_rho_passive
 
     rho_ergotropy = _joint_average_energy(rho, hamiltonian, bath) - rho_passive

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -113,26 +113,34 @@ class DiagonalHamiltonian:
 class DensityOperator:
     """Dense Hermitian, unit-trace, positive-semidefinite matrix.
 
-    Tolerances: Hermiticity and trace to 1e-12, eigenvalues above -1e-10.
-    Construction validates all three, so a held instance is always a state.
+    Tolerances: entries finite, Hermiticity and trace to 1e-12, eigenvalues
+    above -1e-10. Construction validates all of them, so a held instance is
+    always a state. The ascending eigenvalues the validation computes are
+    kept, so a state is diagonalised once, however often :func:`eigens`
+    reads it.
     """
 
     entries: np.ndarray
+    _eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         entries = np.array(self.entries, dtype=np.complex128, copy=True)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError("density operator must be a square matrix")
+        if not np.all(np.isfinite(entries)):
+            raise ValueError("density operator entries must be finite")
         herm_defect = float(np.max(np.abs(entries - entries.conj().T)))
         if herm_defect > HERMITIAN_ATOL:
             raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.3e})")
         trace_defect = abs(complex(np.trace(entries)) - 1.0)
         if trace_defect > TRACE_ATOL:
             raise ValueError(f"trace differs from 1 by {trace_defect:.3e}")
-        min_eig = float(np.linalg.eigvalsh(entries).min())
+        eigenvalues = np.linalg.eigvalsh(entries)
+        min_eig = float(eigenvalues.min())
         if min_eig < EIGENVALUE_FLOOR:
             raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {min_eig:.3e})")
         object.__setattr__(self, "entries", _readonly(entries))
+        object.__setattr__(self, "_eigenvalues", _readonly(eigenvalues))
 
     @property
     def dim(self) -> int:
@@ -275,28 +283,6 @@ def tensor(
     return FactorizedEnsemble(_as_factors(a) + _as_factors(b))
 
 
-def product_pairs(
-    probs: np.ndarray,
-    energies: np.ndarray,
-    factors: tuple[SpectralEnsemble, ...],
-    cap: int = DEFAULT_EXPANSION_CAP,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Joint (prob, energy) arrays of a seed spectrum times product factors.
-
-    Probabilities multiply and energies add over all index combinations, in
-    lexicographic order with the seed index slowest. Only the flat arrays are
-    ever materialized; a result larger than ``cap`` raises
-    :class:`SizeCapError` instead of allocating.
-    """
-    _check_cap([probs.size, *(f.size for f in factors)], cap)
-    p = np.asarray(probs, dtype=np.float64)
-    e = np.asarray(energies, dtype=np.float64)
-    for f in factors:
-        p = np.multiply.outer(p, f.probs).ravel()
-        e = np.add.outer(e, f.energies).ravel()
-    return p, e
-
-
 def sorted_joint(
     seed: np.ndarray,
     factors: Sequence[np.ndarray],
@@ -312,11 +298,11 @@ def sorted_joint(
     is a sorted run, because ``x -> x * c`` (c >= 0) and ``x -> x + c`` are
     monotone in IEEE-754. A stable sort (timsort) merges a few such runs in
     linear time. IEEE ``*`` and ``+`` are commutative, so the values form
-    the same multiset as :func:`product_pairs` builds, and the result equals
-    ``np.sort`` of its lexicographic array element for element (only the
-    order of a -0.0 and a 0.0, which compare equal, may differ). A result
-    larger than ``cap`` raises :class:`SizeCapError` before anything is
-    allocated.
+    the same multiset as the lexicographic expansion that :func:`expand`
+    builds with the seed as its first factor, and the result equals
+    ``np.sort`` of that array element for element (only the order of a
+    -0.0 and a 0.0, which compare equal, may differ). A result larger than
+    ``cap`` raises :class:`SizeCapError` before anything is allocated.
     """
     _check_cap([len(seed), *map(len, factors)], cap)
     s = np.sort(np.asarray(seed, dtype=np.float64))
@@ -333,21 +319,26 @@ def expand(
 
     Output order is lexicographic over factor indices (first factor slowest),
     matching the Kronecker-product basis convention of the dense oracle, so
-    outputs are byte-reproducible. Zero-probability entries are kept.
+    outputs are byte-reproducible: probabilities multiply and energies add
+    over all index combinations. Zero-probability entries are kept. A result
+    larger than ``cap`` raises :class:`SizeCapError` instead of allocating.
     """
-    seed_p = np.ones(1)
-    seed_e = np.zeros(1)
-    probs, energies = product_pairs(seed_p, seed_e, factorized.factors, cap)
+    _check_cap([f.size for f in factorized.factors], cap)
+    probs, energies = np.ones(1), np.zeros(1)
+    for f in factorized.factors:
+        probs = np.multiply.outer(probs, f.probs).ravel()
+        energies = np.add.outer(energies, f.energies).ravel()
     return SpectralEnsemble(probs, energies)
 
 
 def eigens(rho: DensityOperator) -> np.ndarray:
     """Eigenvalues of a density operator, descending, clipped to [0, 1].
 
-    Clipping absorbs at most 1e-10 of numerical slack; the clipped spectrum
-    must still sum to 1 within 1e-9.
+    Reads the spectrum computed once at construction. Clipping absorbs at
+    most 1e-10 of numerical slack; the clipped spectrum must still sum to 1
+    within 1e-9.
     """
-    values = np.linalg.eigvalsh(rho.entries)[::-1]
+    values = rho._eigenvalues[::-1]
     if float(values.min()) < EIGENVALUE_FLOOR:
         raise ValueError(f"eigenvalue {values.min():.3e} below tolerance")
     if float(values.max()) > 1.0 + 1e-10:

@@ -110,9 +110,7 @@ def _run_check(
 
 def _resource_and_tight(rho, hamiltonian, weight, bath: BathSpec) -> list[float]:
     sigma = control_marginal(rho, hamiltonian, weight)
-    return shared_bath_ergotropies(
-        [(rho, eigens(rho)), (sigma, eigens(sigma))], hamiltonian, bath_ensemble(bath)
-    )
+    return shared_bath_ergotropies([rho, sigma], hamiltonian, bath_ensemble(bath))
 
 
 def _fast_vs_dense(i: int, child: int, rng: np.random.Generator, max_dim: int):

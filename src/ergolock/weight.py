@@ -68,7 +68,14 @@ def characteristic_factor(
     """
     delta = np.asarray(delta, dtype=np.float64)
     if isinstance(weight, GaussianWeight):
-        factors = np.exp(-(delta * delta) / (8.0 * weight.sigma * weight.sigma))
+        # Past the float range, delta^2 / 8 sigma^2 is inf and exp(-inf) = 0.
+        with np.errstate(over="ignore"):
+            width = 8.0 * weight.sigma * weight.sigma
+            if width == 0.0:
+                # 8 sigma^2 underflows: the sigma -> 0 limit, full dephasing.
+                factors = np.where(delta == 0.0, 1.0, 0.0)
+            else:
+                factors = np.exp(-(delta * delta) / width)
     elif isinstance(weight, TimeStateWeight):
         factors = np.exp(-1j * delta * weight.t)
     elif isinstance(weight, EnergyEigenstateWeight):

@@ -19,25 +19,22 @@ from ergolock import (
     GaussianWeight,
     RandomSpec,
     TimeStateWeight,
-    bath_ensemble,
     bound_report,
     control_marginal,
     custom_bath,
     dense_ergotropy,
     dense_joint,
-    eigens,
-    ergotropy_product,
     free_energy_bound,
-    passive_energy,
     passivizing_unitary,
     random_state,
     random_unitary,
-    shannon_entropy,
     skrzypczyk_bath,
-    tensor,
     theorem1_work,
-    trial_seed,
 )
+from ergolock.bath import bath_ensemble
+from ergolock.ergotropy import ergotropy_product, passive_energy
+from ergolock.oracle import trial_seed
+from ergolock.spectra import eigens, shannon_entropy, tensor
 from ergolock.cli import main
 from ergolock.spectra import SpectralEnsemble, expand
 

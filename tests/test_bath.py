@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 
 from ergolock import (
-    BathSpec,
-    bath_ensemble,
-    compensated_sum,
     custom_bath,
-    ergotropy_product,
-    expand,
     free_energy_bound,
     skrzypczyk_bath,
 )
+from ergolock.bath import BathSpec, bath_ensemble
+from ergolock.ergotropy import ergotropy_product
+from ergolock.spectra import compensated_sum, expand
 
 
 def excited_population(gap: float, temperature: float) -> float:

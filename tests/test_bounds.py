@@ -1,11 +1,11 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import ergolock.bounds
 from ergolock import (
-    BathSpec,
     BoundReport,
     CustomWeight,
     DensityOperator,
@@ -15,20 +15,19 @@ from ergolock import (
     RandomSpec,
     SizeCapError,
     TimeStateWeight,
-    bath_ensemble,
     bound_report,
     bound_reports,
     custom_bath,
-    ergotropy_product,
     free_energy_bound,
-    gibbs_ensemble,
     locked_energy,
     random_state,
     skrzypczyk_bath,
-    theorem2_check,
     thermo_limit_locked,
     tight_bound,
 )
+from ergolock.bath import BathSpec, bath_ensemble
+from ergolock.ergotropy import ergotropy_product, theorem2_check
+from ergolock.spectra import eigens, gibbs_ensemble
 from ergolock.oracle import MIXED_TRACE_NORMALIZED, PURE_HAAR
 
 # Frozen from the independent dense brute force of the worked N = 1 point.
@@ -118,6 +117,15 @@ class TestWeightOrdering:
         wide = tight_bound(plus_state, qubit_h, GaussianWeight(1e3), n1_bath)
         assert narrow == pytest.approx(dead, abs=1e-9)
         assert wide == pytest.approx(ideal, abs=1e-6)
+
+    @pytest.mark.parametrize("sigma", [1e-200, 5e-324])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_underflowing_sigma_is_the_energy_eigenstate_weight(self, n1_bath, dim, sigma):
+        # 8 sigma^2 underflows to 0; the report is the sigma -> 0 limit.
+        rho = random_state(RandomSpec(seed=dim, dim=dim, kind=MIXED_TRACE_NORMALIZED))
+        h = DiagonalHamiltonian(np.arange(dim, dtype=np.float64))
+        got = bound_report(rho, h, GaussianWeight(sigma=sigma), n1_bath).as_dict()
+        assert got == bound_report(rho, h, EnergyEigenstateWeight(), n1_bath).as_dict()
 
 
 class TestThermoLimitConvergence:
@@ -308,3 +316,55 @@ class TestInputGuards:
         with pytest.raises(SizeCapError) as info:
             evaluate(plus_state, qubit_h, unit_gaussian, skrzypczyk_bath(100_000, 1.0, 1.0))
         assert info.value.size == 2 * 2**100_000
+
+
+class TestOneSpectrumPerState:
+    """A state is diagonalised once, when it is built; the kernels read that
+    spectrum and never diagonalise a state they are handed."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        calls = Counter()
+        eigvalsh, post_init = np.linalg.eigvalsh, DensityOperator.__post_init__
+
+        def counted_eigvalsh(*args, **kwargs):
+            calls["eigvalsh"] += 1
+            return eigvalsh(*args, **kwargs)
+
+        def counted_post_init(state):
+            calls["built"] += 1
+            post_init(state)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+        monkeypatch.setattr(DensityOperator, "__post_init__", counted_post_init)
+        return calls
+
+    def test_one_eigvalsh_per_state_built(self, counts):
+        states = [
+            random_state(RandomSpec(seed=seed, dim=dim, kind=MIXED_TRACE_NORMALIZED))
+            for seed, dim in enumerate((1, 2, 3, 4, 7))
+        ]
+        assert counts == {"eigvalsh": 5, "built": 5}
+        for state in states:
+            eigens(state)
+            eigens(state)
+        assert counts == {"eigvalsh": 5, "built": 5}
+
+    def test_bound_reports_diagonalise_only_the_states_they_build(
+        self, counts, plus_state, qubit_h, n1_bath
+    ):
+        weights = TestBoundReports.WEIGHTS
+        counts.clear()
+        bound_reports(plus_state, qubit_h, weights, n1_bath)
+        # One sigma per weight is built; the held rho is never diagonalised.
+        assert counts == {"eigvalsh": len(weights), "built": len(weights)}
+        counts.clear()
+        bound_report(plus_state, qubit_h, GaussianWeight(sigma=1.0), n1_bath)
+        assert counts == {"eigvalsh": 1, "built": 1}
+
+    def test_theorem2_check_diagonalises_nothing(self, counts, plus_state, qubit_h):
+        xi = gibbs_state(qubit_h, 1.0)
+        bath = bath_ensemble(skrzypczyk_bath(3, 1.0, 1.0))
+        counts.clear()
+        theorem2_check(plus_state, xi, qubit_h, bath, 1.0)
+        assert counts == {}

@@ -11,14 +11,12 @@ import pytest
 
 import ergolock.bounds
 from ergolock import (
-    ConfigError,
     GaussianWeight,
     bound_report,
-    load_config,
-    parse_config,
-    run_verification,
     skrzypczyk_bath,
 )
+from ergolock.config import ConfigError, load_config, parse_config
+from ergolock.verify import run_verification
 from ergolock.cli import CSV_COLUMNS, emit_csv, emit_json, main, run_report, run_sweep
 
 
@@ -153,6 +151,9 @@ class TestParseErrors:
             # sigma = value * first system gap overflows to inf.
             ({"system": {"gaps": [10.0], "state": "plus"},
               "sweep": {"parameter": "sigma_over_omega", "values": [1e308]}}, "sweep.values"),
+            # Ladder gaps that round to 0 (omega -> 0) or overflow to inf.
+            ({"bath": {"model": "skrzypczyk", "N": 3, "omega": 1e-300}}, "bath: "),
+            ({"bath": {"model": "skrzypczyk", "N": 3, "omega": 1000.0}}, "bath: "),
         ],
     )
     def test_malformed_input_is_a_config_error(self, tmp_path, capsys, overrides, fragment):

@@ -6,16 +6,29 @@ import pytest
 from ergolock import (
     DensityOperator,
     DiagonalHamiltonian,
+    RandomSpec,
     SizeCapError,
-    SpectralEnsemble,
-    bath_ensemble,
+    custom_bath,
+    random_state,
+    skrzypczyk_bath,
+)
+from ergolock.bath import bath_ensemble
+from ergolock.ergotropy import (
     ergotropy,
     ergotropy_product,
-    gibbs_ensemble,
     passive_energy,
     passive_state,
-    skrzypczyk_bath,
     theorem2_check,
+)
+from ergolock.oracle import MIXED_TRACE_NORMALIZED, PURE_HAAR
+from ergolock.spectra import (
+    FactorizedEnsemble,
+    SpectralEnsemble,
+    eigens,
+    entropy,
+    gibbs_ensemble,
+    shannon_entropy,
+    sorted_joint,
 )
 
 
@@ -103,8 +116,6 @@ class TestErgotropyProduct:
             ergotropy_product(plus_state, qubit_h, bath, cap=1000)
 
     def test_empty_bath(self, plus_state, qubit_h):
-        from ergolock import FactorizedEnsemble
-
         value = ergotropy_product(plus_state, qubit_h, FactorizedEnsemble(()))
         assert value == pytest.approx(0.5, abs=1e-15)
 
@@ -132,8 +143,6 @@ class TestPassiveState:
         assert out.entries[1, 1] == pytest.approx(0.9, abs=1e-14)
 
     def test_energy_matches_passive_energy(self, dephased_plus, qubit_h):
-        from ergolock import eigens
-
         out = passive_state(dephased_plus, qubit_h)
         joint = SpectralEnsemble(eigens(dephased_plus), qubit_h.energies)
         assert np.real(np.trace(out.entries @ np.diag(qubit_h.energies))) == pytest.approx(
@@ -195,3 +204,36 @@ class TestTheorem2:
     def test_rejects_bad_temperature(self, plus_state, qubit_h, n1_bath):
         with pytest.raises(ValueError):
             theorem2_check(plus_state, plus_state, qubit_h, bath_ensemble(n1_bath), 0.0)
+
+
+def _random_instance(seed: int, max_qubits: int = 12):
+    # A state of dimension <= 4, a Hamiltonian and a bath of <= max_qubits qubits.
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 5))
+    rho = random_state(RandomSpec(seed=seed, dim=dim, kind=MIXED_TRACE_NORMALIZED))
+    h = DiagonalHamiltonian(rng.uniform(0.0, 2.0, dim))
+    n = int(rng.integers(0, max_qubits + 1))
+    if n == 0:
+        return rho, h, FactorizedEnsemble(())
+    return rho, h, bath_ensemble(custom_bath(0.8, rng.uniform(0.2, 2.5, n)))
+
+
+class TestTheorem2Kernel:
+    """theorem2_check reads the passive energies of the shared kernel."""
+
+    def test_lhs_is_the_ergotropy_difference_bit_for_bit(self):
+        for seed in range(20):
+            rho, h, bath = _random_instance(seed, max_qubits=6)
+            xi = random_state(RandomSpec(seed=seed + 1000, dim=rho.dim, kind=PURE_HAAR))
+            result = theorem2_check(rho, xi, h, bath, 0.8)
+            expected = ergotropy_product(rho, h, bath) - ergotropy_product(xi, h, bath)
+            assert result.lhs == expected, seed
+
+    def test_additive_passive_entropy_matches_the_joint_sum(self):
+        # A passive joint state has the spectrum of rho x bath, whose entropy
+        # is S(rho) plus the entropy of each bath factor.
+        for seed in range(200):
+            rho, _, bath = _random_instance(seed)
+            additive = shannon_entropy(eigens(rho)) + sum(entropy(f) for f in bath.factors)
+            joint = sorted_joint(eigens(rho), [f.probs for f in bath.factors], np.multiply)
+            assert abs(additive - shannon_entropy(joint)) <= 1e-12, seed

@@ -6,18 +6,18 @@ from ergolock import (
     DiagonalHamiltonian,
     RandomSpec,
     SizeCapError,
-    bath_ensemble,
     custom_bath,
     dense_ergotropy,
     dense_joint,
-    ergotropy_product,
-    gibbs_ensemble,
     passivizing_unitary,
     random_state,
     random_unitary,
     theorem1_work,
-    trial_seed,
 )
+from ergolock.bath import bath_ensemble
+from ergolock.ergotropy import ergotropy_product
+from ergolock.oracle import trial_seed
+from ergolock.spectra import gibbs_ensemble
 
 MIXED = "mixed-trace-normalized"
 PURE = "pure-haar"

@@ -11,22 +11,22 @@ from ergolock import (
     DensityOperator,
     DiagonalHamiltonian,
     GaussianWeight,
-    SpectralEnsemble,
-    average_energy,
-    bath_ensemble,
     characteristic_factor,
-    compensated_sum,
     control_marginal,
     custom_bath,
+    free_energy_bound,
+)
+from ergolock.bath import bath_ensemble
+from ergolock.ergotropy import ergotropy, ergotropy_product, passive_energy
+from ergolock.spectra import (
+    SpectralEnsemble,
+    average_energy,
+    compensated_sum,
     eigens,
     entropy,
-    ergotropy,
-    ergotropy_product,
     expand,
     free_energy,
-    free_energy_bound,
     gibbs_ensemble,
-    passive_energy,
     shannon_entropy,
     tensor,
 )

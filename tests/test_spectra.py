@@ -8,21 +8,23 @@ from hypothesis import strategies as st
 from ergolock import (
     DensityOperator,
     DiagonalHamiltonian,
-    FactorizedEnsemble,
     SizeCapError,
+    skrzypczyk_bath,
+)
+from ergolock.bath import bath_ensemble
+from ergolock.spectra import (
+    FactorizedEnsemble,
     SpectralEnsemble,
     average_energy,
-    bath_ensemble,
     compensated_sum,
     eigens,
     entropy,
     expand,
     free_energy,
     gibbs_ensemble,
-    skrzypczyk_bath,
+    sorted_joint,
     tensor,
 )
-from ergolock.spectra import product_pairs, sorted_joint
 
 
 # Coherence survival factor of the worked example: exp(-omega^2 / 8 sigma^2)
@@ -53,6 +55,13 @@ class TestTypes:
     def test_density_operator_rejects_negative_eigenvalue(self):
         with pytest.raises(ValueError, match="positive semidefinite"):
             DensityOperator(np.array([[1.2, 0.0], [0.0, -0.2]]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.5, math.nan)])
+    def test_density_operator_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            DensityOperator(np.array([[bad, 0.0], [0.0, bad]]))
+        with pytest.raises(ValueError, match="finite"):
+            DensityOperator(np.array([[0.5, bad], [bad, 0.5]]))
 
     def test_density_operator_is_immutable(self, plus_state):
         with pytest.raises(ValueError):
@@ -262,7 +271,8 @@ class TestSortedJoint:
     @given(joint_inputs())
     def test_equals_sorted_lexicographic_expansion(self, inputs):
         probs, energies, factors = inputs
-        p_lex, e_lex = product_pairs(probs, energies, factors)
+        lex = expand(FactorizedEnsemble((SpectralEnsemble(probs, energies), *factors)))
+        p_lex, e_lex = lex.probs, lex.energies
         p_sorted = sorted_joint(probs, [f.probs for f in factors], np.multiply)
         e_sorted = sorted_joint(energies, [f.energies for f in factors], np.add)
         assert np.array_equal(p_sorted, np.sort(p_lex))

@@ -10,14 +10,13 @@ from ergolock import (
     EnergyEigenstateWeight,
     GaussianWeight,
     TimeStateWeight,
-    bath_ensemble,
     characteristic_factor,
     control_marginal,
-    eigens,
-    ergotropy_product,
-    shannon_entropy,
     skrzypczyk_bath,
 )
+from ergolock.bath import bath_ensemble
+from ergolock.ergotropy import ergotropy_product
+from ergolock.spectra import eigens, shannon_entropy
 
 
 # Coherence survival factor of the worked example: exp(-omega^2 / 8 sigma^2)
@@ -70,6 +69,13 @@ class TestCharacteristicFactor:
         assert all(a < b for a, b in zip(values, values[1:]))
         assert values[0] == pytest.approx(0.0, abs=1e-15)  # sigma -> 0: energy state
         assert values[-1] == pytest.approx(1.0, abs=1e-3)  # sigma -> inf: identity
+
+    @pytest.mark.parametrize("sigma", [5e-324, 1e-200, 1e-160, 1e-150, 1e150, 1e200, 1.7e308])
+    def test_gaussian_is_one_at_zero_splitting_for_any_sigma(self, sigma):
+        # The suite turns a RuntimeWarning (0/0, overflow) into an error.
+        factors = characteristic_factor(GaussianWeight(sigma=sigma), np.array([0.0, 1.0, -3.0]))
+        assert factors[0] == 1.0
+        assert np.all((factors >= 0.0) & (factors <= 1.0))
 
     def test_gaussian_requires_positive_sigma(self):
         with pytest.raises(ValueError):
