@@ -170,6 +170,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if summary["pass"] else 1
 
 
+def _thread_count(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ergolock",
@@ -185,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default=None)
         p.add_argument("--seed", type=int, default=None,
                        help="reproducibility seed; also zeroes the timing column")
-    sweep.add_argument("--threads", type=int, default=1,
+    sweep.add_argument("--threads", type=_thread_count, default=1,
                        help="concurrent sweep-point evaluations")
 
     verify = sub.add_parser("verify", help="run the seeded verification suite")

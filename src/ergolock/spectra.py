@@ -6,9 +6,11 @@ states of many such factors are kept factorized (:class:`FactorizedEnsemble`).
 Passive energies need only the two joint multisets, each in ascending order,
 and :func:`sorted_joint` builds those directly: it combines one factor at a
 time into an already sorted array, so every step is a linear merge of sorted
-runs rather than a full sort. :func:`expand` keeps the lexicographic joint
-order for the dense oracle. Small non-diagonal system states are carried as
-dense matrices (:class:`DensityOperator`).
+runs rather than a full sort. A large fold, and a large
+:func:`compensated_dot`, is cut into one part per CPU in the process's
+affinity mask, with the same result bit for bit. :func:`expand` keeps the
+lexicographic joint order for the dense oracle. Small non-diagonal system
+states are carried as dense matrices (:class:`DensityOperator`).
 
 Units: hbar = k_B = 1, natural logarithm throughout.
 """
@@ -16,9 +18,13 @@ Units: hbar = k_B = 1, natural logarithm throughout.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Sequence
+from itertools import accumulate
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -33,6 +39,18 @@ FACTOR_SUM_ATOL = 1e-9
 DEFAULT_EXPANSION_CAP = 1 << 26
 
 _SUM_BLOCK = 1 << 15
+
+# Below this many elements a fold or a dot runs as one part on the caller:
+# on a 2-core Xeon guest, 2^18 is the smallest fold that two parts sort
+# faster than one (crossover_fold_ms in BENCH_parallel_fold.json).
+_PARALLEL_MIN = 1 << 18
+
+# Parts per large fold or dot: the CPUs this process may run on.
+_PARTS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
+_executor: ThreadPoolExecutor | None = None
+_executor_lock = threading.Lock()
 
 
 class SizeCapError(RuntimeError):
@@ -65,6 +83,33 @@ def _check_cap(sizes: Sequence[int], cap: int) -> None:
             raise SizeCapError(math.prod(n**k for n, k in counts.items()), cap)
 
 
+def _parts(size: int) -> int:
+    return 1 if size < _PARALLEL_MIN else _PARTS
+
+
+def _run_parts(task: Callable[[int, int], Any], parts: int) -> list:
+    """``[task(k, parts) for k in range(parts)]``, with part 0 on the caller
+    and the others on one shared thread pool, created on first use.
+
+    The parts run numpy calls that release the GIL, so they overlap. Pool
+    workers never submit to the pool, so a caller that is itself a thread of
+    some other pool (a ``cli`` sweep) cannot deadlock it. Every part has
+    finished when this returns or raises.
+    """
+    global _executor
+    if parts == 1:
+        return [task(0, 1)]
+    with _executor_lock:
+        if _executor is None:
+            _executor = ThreadPoolExecutor(max_workers=_PARTS, thread_name_prefix="ergolock")
+    futures = [_executor.submit(task, k, parts) for k in range(1, parts)]
+    try:
+        first = task(0, parts)
+    finally:
+        rest = [future.result() for future in futures]
+    return [first, *rest]
+
+
 def compensated_sum(values: np.ndarray) -> float:
     """Sum with compensated accumulation: exact fsum over pairwise block sums."""
     arr = np.ascontiguousarray(values, dtype=np.float64).ravel()
@@ -77,8 +122,32 @@ def compensated_sum(values: np.ndarray) -> float:
 
 
 def compensated_dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Dot product accumulated with :func:`compensated_sum` (2^20+ term safe)."""
-    return compensated_sum(np.multiply(a, b))
+    """Dot product accumulated with :func:`compensated_sum` (2^20+ term safe).
+
+    Past one block, the products are formed one ``_SUM_BLOCK`` at a time in
+    a block buffer and summed there, so no product array of the full size
+    is allocated. The blocks are split into contiguous spans, one per part
+    (see :func:`_run_parts`). Each block partial is the same pairwise sum
+    of the same products that :func:`compensated_sum` takes, and the
+    partials reach ``fsum`` in block order, so the value equals
+    ``compensated_sum(np.multiply(a, b))`` bit for bit.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    if a.size <= _SUM_BLOCK:
+        return compensated_sum(np.multiply(a, b))
+    a, b = a.reshape(-1), np.asarray(b, dtype=np.float64).reshape(-1)
+    starts = range(0, a.size, _SUM_BLOCK)
+
+    def span(k: int, parts: int) -> list[float]:
+        buffer = np.empty(_SUM_BLOCK)
+        partials = []
+        for i in starts[k * len(starts) // parts : (k + 1) * len(starts) // parts]:
+            j = min(i + _SUM_BLOCK, a.size)
+            partials.append(float(np.multiply(a[i:j], b[i:j], out=buffer[: j - i]).sum()))
+        return partials
+
+    spans = _run_parts(span, _parts(a.size))
+    return float(math.fsum(p for partials in spans for p in partials))
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -293,23 +362,81 @@ def sorted_joint(
     the 1-D ``seed`` and one from each 1-D float64 factor: ``np.multiply``
     gives the joint probabilities, ``np.add`` the joint energies.
 
-    The seed is sorted, then each factor is combined into the sorted array:
-    ``combine.outer(factor, s)`` has one row per factor value, and each row
-    is a sorted run, because ``x -> x * c`` (c >= 0) and ``x -> x + c`` are
-    monotone in IEEE-754. A stable sort (timsort) merges a few such runs in
-    linear time. IEEE ``*`` and ``+`` are commutative, so the values form
-    the same multiset as the lexicographic expansion that :func:`expand`
-    builds with the seed as its first factor, and the result equals
-    ``np.sort`` of that array element for element (only the order of a
-    -0.0 and a 0.0, which compare equal, may differ). A result larger than
+    The seed is sorted, then each factor is folded into the sorted array
+    ``s``: for each factor value ``c`` the run ``combine(c, s)`` is sorted,
+    because ``x -> x + c`` is monotone in IEEE-754 and so is ``x -> x * c``
+    (non-increasing for ``c < 0``), and a stable sort (timsort) merges a few
+    such runs in linear time. IEEE ``*`` and ``+`` are commutative, so the
+    values form the same multiset as the lexicographic expansion that
+    :func:`expand` builds with the seed as its first factor, and the result
+    equals ``np.sort`` of that array element for element (only the order of
+    a -0.0 and a 0.0, which compare equal, may differ). A result larger than
     ``cap`` raises :class:`SizeCapError` before anything is allocated.
+
+    A fold of ``_PARALLEL_MIN`` elements or more is cut into one value range
+    per part (see :func:`_run_parts`), after Odeh et al., "Merge Path",
+    IPDPS Workshops 2012. Pivots come from a strided sample; each run is
+    cut at the pivots by bisection, and each part writes its pieces of the
+    runs into its own slice of the output and sorts that slice. All copies
+    of a value (a -0.0 and a 0.0 included) fall in one range, in the order
+    one whole-array stable sort would meet them, so the result is the same
+    array bit for bit, whatever the number of parts.
     """
     _check_cap([len(seed), *map(len, factors)], cap)
     s = np.sort(np.asarray(seed, dtype=np.float64))
     for f in factors:
-        s = combine.outer(f, s).ravel()
-        s.sort(kind="stable")
+        s = _fold(s, np.asarray(f, dtype=np.float64), combine)
     return s
+
+
+def _fold(s: np.ndarray, f: np.ndarray, combine: np.ufunc) -> np.ndarray:
+    # Sorted multiset of combine(c, x) over c in f and x in the sorted s.
+    # pieces[k][r] is the (lo, hi) slice of s whose run r part k holds, and
+    # offsets[k] is where part k starts in out.
+    out = np.empty(f.size * s.size)
+    parts = _parts(out.size)
+    if parts == 1:
+        pieces, offsets = [[(0, s.size)] * f.size], [0, out.size]
+    else:
+        sample = np.sort(combine.outer(f, s[:: max(1, s.size >> 10)]), axis=None)
+        pivots = sample[[sample.size * k // parts for k in range(1, parts)]]
+        pieces = list(zip(*(_run_pieces(combine, c, s, pivots) for c in f)))
+        offsets = list(accumulate([0, *(sum(hi - lo for lo, hi in p) for p in pieces)]))
+    values = f.tolist()
+
+    def part(k: int, parts: int) -> None:
+        pos = offsets[k]
+        for c, (lo, hi) in zip(values, pieces[k]):
+            combine(c, s[lo:hi], out=out[pos : pos + hi - lo])
+            pos += hi - lo
+        out[offsets[k] : offsets[k + 1]].sort(kind="stable")
+
+    _run_parts(part, parts)
+    return out
+
+
+def _run_pieces(
+    combine: np.ufunc, c: float, s: np.ndarray, pivots: np.ndarray
+) -> list[tuple[int, int]]:
+    # The slices of s whose values in the run combine(c, s) fall below the
+    # first pivot, between each two, and from the last one up. A cut is the
+    # first index whose value is >= the pivot in an ascending run, < the
+    # pivot in a descending one; it is found by bisection with scalar
+    # evaluations, so the run is never built.
+    ascending = combine(c, s[0]) <= combine(c, s[-1])
+    cuts = []
+    for v in pivots:
+        lo, hi = 0, s.size
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if (combine(c, s[mid]) < v) == ascending:
+                lo = mid + 1
+            else:
+                hi = mid
+        cuts.append(lo)
+    if ascending:
+        return list(zip([0, *cuts], [*cuts, s.size]))
+    return list(zip([*cuts, 0], [s.size, *cuts]))
 
 
 def expand(

@@ -74,6 +74,11 @@ def characteristic_factor(
             if width == 0.0:
                 # 8 sigma^2 underflows: the sigma -> 0 limit, full dephasing.
                 factors = np.where(delta == 0.0, 1.0, 0.0)
+            elif width == math.inf:
+                # 8 sigma^2 overflows, and delta^2 may too (inf / inf is nan):
+                # scale delta first. Not used where 8 sigma^2 is finite, so
+                # those factors keep their bits.
+                factors = np.exp(-((delta / weight.sigma) ** 2) / 8.0)
             else:
                 factors = np.exp(-(delta * delta) / width)
     elif isinstance(weight, TimeStateWeight):

@@ -3,6 +3,7 @@ import importlib
 import io
 import json
 import math
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -427,6 +428,25 @@ class TestCliProcess:
         if name == "weight_width_sweep":
             # A sigma sweep leaves rho x tau_B, and so the resource ergotropy, unchanged.
             assert len({r["resource_ergotropy"] for r in records}) == 1
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_refused(self, threads, capsys):
+        cfg = str(CONFIGS / "weight_width_sweep.json")
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "--config", cfg, "--threads", threads])
+        assert info.value.code == 2
+        assert "--threads: must be at least 1" in capsys.readouterr().err
+
+    def test_report_with_overflowing_gaussian_width(self, tmp_path, capsys):
+        # 8 sigma^2 and the splitting's square both overflow; their ratio does not.
+        cfg = self.write_config(tmp_path, base_config(
+            system={"gaps": [1e200], "state": "plus"},
+            weight={"kind": "gaussian", "sigma": 1e200}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["report", "--config", cfg, "--format", "json"]) == 0
+        record = json.loads(capsys.readouterr().out)[0]
+        assert all(math.isfinite(record[c]) for c in CSV_COLUMNS[2:7])
 
     def test_verify_zero_trials_refused(self, capsys):
         assert main(["verify", "--trials", "0"]) == 2

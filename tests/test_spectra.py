@@ -1,4 +1,7 @@
+import contextlib
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -8,14 +11,18 @@ from hypothesis import strategies as st
 from ergolock import (
     DensityOperator,
     DiagonalHamiltonian,
+    GaussianWeight,
     SizeCapError,
+    bound_report,
     skrzypczyk_bath,
+    spectra,
 )
 from ergolock.bath import bath_ensemble
 from ergolock.spectra import (
     FactorizedEnsemble,
     SpectralEnsemble,
     average_energy,
+    compensated_dot,
     compensated_sum,
     eigens,
     entropy,
@@ -261,6 +268,10 @@ class _RecordingCombine:
     def __init__(self):
         self.calls = 0
 
+    def __call__(self, a, b, out=None):
+        self.calls += 1
+        return np.add(a, b, out=out)
+
     def outer(self, a, b):
         self.calls += 1
         return np.add.outer(a, b)
@@ -311,3 +322,105 @@ class TestSortedJoint:
             sorted_joint(np.zeros(2), factors, _RecordingCombine(), cap=1 << 26)
         assert info.value.size == 1 << 28
         assert str(info.value) == "expansion of 268435456 elements exceeds the cap of 67108864"
+
+
+@contextlib.contextmanager
+def forced_parts(parts: int, crossover: int = 1):
+    """Cut every fold and dot of at least ``crossover`` elements into ``parts``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectra, "_PARALLEL_MIN", crossover)
+        patch.setattr(spectra, "_PARTS", parts)
+        yield
+
+
+def bits(values: np.ndarray) -> np.ndarray:
+    # Compared as integers, a -0.0 and a 0.0 differ.
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+class TestParts:
+    """A fold or a dot cut into parts gives the one-part result bit for bit."""
+
+    @pytest.mark.parametrize("parts", [2, 3, 5])
+    @settings(max_examples=100, deadline=None)
+    @given(inputs=joint_inputs())
+    def test_partitioned_fold_equals_one_part(self, parts, inputs):
+        probs, energies, factors = inputs
+        lex = expand(FactorizedEnsemble((SpectralEnsemble(probs, energies), *factors)))
+        for seed, values, combine, flat in (
+            (probs, [f.probs for f in factors], np.multiply, lex.probs),
+            (energies, [f.energies for f in factors], np.add, lex.energies),
+        ):
+            one = sorted_joint(seed, values, combine)
+            with forced_parts(parts):
+                cut = sorted_joint(seed, values, combine)
+            assert np.array_equal(bits(cut), bits(one))
+            assert np.array_equal(cut, np.sort(flat))
+
+    @pytest.mark.parametrize("parts", [2, 3, 5])
+    @pytest.mark.parametrize(
+        "seed, factors",
+        [
+            # Every value equal: each pivot is both the minimum and the maximum.
+            ([0.25, 0.25], [[0.5, 0.5], [1.0], [0.5, 0.5]]),
+            # Mostly zeros: the pivots sit on the minimum.
+            ([0.0, 0.0, 0.0, 1.0], [[0.0, 1.0], [0.0, 0.0, 1.0]]),
+            # Mostly ones: the pivots sit on the maximum.
+            ([1.0, 1.0, 1.0, 0.5], [[1.0, 1.0, 1.0], [1.0, 0.25]]),
+            # Signed zeros and values that underflow when multiplied.
+            ([-0.0, 0.0, 5e-324, 1e-200], [[0.0, -0.0, 1e-200], [1.0, 1e-300]]),
+            # A negative factor value makes a descending run.
+            ([-2.0, -1.0, 0.0, 3.0], [[-1e-13, 0.5, 2.0], [1.0, -3.0]]),
+        ],
+    )
+    def test_partitioned_fold_on_ties_and_extremes(self, parts, seed, factors):
+        for combine in (np.multiply, np.add):
+            one = sorted_joint(np.array(seed), [np.array(f) for f in factors], combine)
+            with forced_parts(parts):
+                cut = sorted_joint(np.array(seed), [np.array(f) for f in factors], combine)
+            assert np.array_equal(bits(cut), bits(one))
+            assert np.all(cut[:-1] <= cut[1:])
+
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    @pytest.mark.parametrize("offset", [-1, 0, 1, 2 * spectra._SUM_BLOCK + 7])
+    def test_blockwise_dot_equals_compensated_sum(self, parts, offset):
+        rng = np.random.default_rng(offset + 10)
+        size = spectra._SUM_BLOCK + offset
+        p_asc, e_asc = np.sort(rng.random(size)), np.sort(rng.normal(size=size))
+        want = compensated_sum(np.multiply(p_asc[::-1], e_asc))
+        with forced_parts(parts):
+            assert compensated_dot(p_asc[::-1], e_asc) == want
+            assert compensated_dot(e_asc[::-1], p_asc[::-1]) == compensated_sum(
+                np.multiply(e_asc[::-1], p_asc[::-1])
+            )
+
+    @pytest.mark.parametrize("parts", [2, 3])
+    def test_n20_report_equals_one_part(self, plus_state, qubit_h, parts):
+        # 2^21 joint elements: past the default crossover, so the real
+        # folds and dots are cut into parts.
+        bath = skrzypczyk_bath(20, 1.0, 1.0)
+        with forced_parts(1, crossover=spectra._PARALLEL_MIN):
+            one = bound_report(plus_state, qubit_h, GaussianWeight(0.7), bath)
+        with forced_parts(parts, crossover=spectra._PARALLEL_MIN):
+            cut = bound_report(plus_state, qubit_h, GaussianWeight(0.7), bath)
+        assert cut == one
+
+    def test_concurrent_callers_share_one_pool(self):
+        # More callers than cores cut their folds into parts while the shared
+        # pool is first created, as the threads of a ``cli --threads`` sweep do.
+        factors = [f.probs for f in bath_ensemble(skrzypczyk_bath(12, 1.0, 1.0)).factors]
+        seed = np.array([0.75, 0.25])
+        want = sorted_joint(seed, factors, np.multiply)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with forced_parts(3), pytest.MonkeyPatch.context() as patch:
+                patch.setattr(spectra, "_executor", None)
+                with ThreadPoolExecutor(max_workers=6) as callers:
+                    futures = [callers.submit(sorted_joint, seed, factors, np.multiply)
+                               for _ in range(12)]
+                    results = [future.result(timeout=60) for future in futures]
+                spectra._executor.shutdown()
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(bits(r), bits(want)) for r in results)

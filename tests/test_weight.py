@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,18 @@ class TestCharacteristicFactor:
         factors = characteristic_factor(GaussianWeight(sigma=sigma), np.array([0.0, 1.0, -3.0]))
         assert factors[0] == 1.0
         assert np.all((factors >= 0.0) & (factors <= 1.0))
+
+    @pytest.mark.parametrize("sigma", [1e200, 1.7e308])
+    def test_gaussian_with_overflowing_width_scales_the_splitting(self, sigma):
+        # 8 sigma^2 is inf; so is delta^2 at delta = sigma, and inf / inf is nan.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            factors = characteristic_factor(
+                GaussianWeight(sigma=sigma), np.array([sigma, -0.5 * sigma])
+            )
+        assert np.all(np.isfinite(factors))
+        assert factors[0] == pytest.approx(math.exp(-1.0 / 8.0), rel=1e-15)
+        assert factors[1] == pytest.approx(math.exp(-0.25 / 8.0), rel=1e-15)
 
     def test_gaussian_requires_positive_sigma(self):
         with pytest.raises(ValueError):
