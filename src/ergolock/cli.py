@@ -180,6 +180,17 @@ def _thread_count(text: str) -> int:
     return count
 
 
+def _seed(text: str) -> int:
+    # The range a config's "seed" and verify's seed accept.
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 0 <= seed < 1 << 64:
+        raise argparse.ArgumentTypeError(f"must fit in 64 unsigned bits, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ergolock",
@@ -193,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--out", default=None, help="output file (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_seed, default=None,
                        help="reproducibility seed; also zeroes the timing column")
     sweep.add_argument("--threads", type=_thread_count, default=1,
                        help="concurrent sweep-point evaluations")

@@ -3,10 +3,12 @@
 The unitary minimization behind passive energy has a closed classical
 solution: pair the state's probabilities sorted descending with the energy
 levels sorted ascending. For a system state times a factorized bath, both
-joint multisets come already ascending from :func:`spectra.sorted_joint`, a
-merge of sorted runs, so no joint-sized array is ever sorted from scratch
-and no dense joint matrix is touched. States that share a bath share one
-joint energy array.
+joint multisets come already ascending from merges of sorted runs
+(:func:`spectra.sorted_joint`), so no joint-sized array is ever sorted from
+scratch and no dense joint matrix is touched. States that share a bath
+share one joint energy array. A system of at most four levels is folded
+into the bath's own sorted energy and probability arrays, so those are
+built once and each state adds a single merge.
 """
 
 from __future__ import annotations
@@ -22,7 +24,9 @@ from .spectra import (
     DiagonalHamiltonian,
     FactorizedEnsemble,
     SpectralEnsemble,
+    _check_cap,
     _check_temperature,
+    _fold,
     average_energy,
     compensated_dot,
     eigens,
@@ -33,6 +37,12 @@ from .spectra import (
 )
 
 ERGOTROPY_FLOOR = -1e-10
+
+# Largest system dimension folded into the sorted bath arrays. A fold of d
+# values over the bath array merges d runs, about n*ceil(log2 d) work, where
+# the seed-first chain costs about 2n; bath_first_crossover in
+# BENCH_shared_bath_arrays.json measures where that stops paying.
+_BATH_FIRST_MAX_DIM = 4
 
 
 def _sorted_passive(p_asc: np.ndarray, e_asc: np.ndarray) -> float:
@@ -67,14 +77,29 @@ def _passive_energies(
 ) -> list[float]:
     # Passive energy of each (state x bath). The joint energies are built
     # once; each state's joint probabilities live only for its own dot, so
-    # one probability array is held at a time, however many states there are.
+    # one joint probability array is held at a time, however many states
+    # there are. A small system is folded into the bath's sorted arrays,
+    # which are built once, so each state costs one fold: the products
+    # associate as p * (b_1 * ... * b_N) instead of (p * b_1) * ... * b_N,
+    # and the last ulp can differ from the seed-first chain a larger system
+    # keeps.
     if any(system.dim != hamiltonian.dim for system in systems):
         raise ValueError("system state and Hamiltonian dimensions differ")
-    energies = sorted_joint(hamiltonian.energies, [f.energies for f in bath.factors], np.add, cap)
-    bath_probs = [f.probs for f in bath.factors]
+    energy_factors = [f.energies for f in bath.factors]
+    prob_factors = [f.probs for f in bath.factors]
+    if hamiltonian.dim > _BATH_FIRST_MAX_DIM:
+        energies = sorted_joint(hamiltonian.energies, energy_factors, np.add, cap)
+        return [
+            _sorted_passive(sorted_joint(eigens(system), prob_factors, np.multiply, cap), energies)
+            for system in systems
+        ]
+    _check_cap([hamiltonian.dim, *map(len, prob_factors)], cap)
+    bath_e = sorted_joint(np.zeros(1), energy_factors, np.add, cap)
+    energies = _fold(bath_e, hamiltonian.energies, np.add)
+    del bath_e
+    bath_p = sorted_joint(np.ones(1), prob_factors, np.multiply, cap)
     return [
-        _sorted_passive(sorted_joint(eigens(system), bath_probs, np.multiply, cap), energies)
-        for system in systems
+        _sorted_passive(_fold(bath_p, eigens(system), np.multiply), energies) for system in systems
     ]
 
 
@@ -98,7 +123,7 @@ def ergotropy_product(
     """Ergotropy of (system state) x (factorized bath) under H_S + H_B.
 
     Only the flat joint probability and energy arrays are materialized, each
-    built in ascending order by :func:`spectra.sorted_joint`; the mean energy
+    built in ascending order by merging sorted runs; the mean energy
     is taken additively from the system matrix diagonal and the bath factors.
     """
     (value,) = shared_bath_ergotropies([system], hamiltonian, bath, cap)

@@ -116,7 +116,7 @@ def compensated_sum(values: np.ndarray) -> float:
     if arr.size == 0:
         return 0.0
     if arr.size <= _SUM_BLOCK:
-        return float(math.fsum(arr))
+        return math.fsum(arr.tolist())
     partials = [float(arr[i : i + _SUM_BLOCK].sum()) for i in range(0, arr.size, _SUM_BLOCK)]
     return float(math.fsum(partials))
 

@@ -214,27 +214,64 @@ class TestSweepEngine:
         threaded = [(r.value, r.report.as_dict()) for r in run_sweep(config, threads=2)]
         assert serial == threaded
 
-    def test_sigma_sweep_shares_one_bath_and_one_energy_array(self, monkeypatch):
-        # The weight-independent work of a sigma sweep is done once: one bath
-        # build, one sorted joint energy array, and the joint probabilities
-        # of rho once plus those of each point's sigma.
+    @staticmethod
+    def _count_joint_builds(monkeypatch) -> Counter:
+        # Counts bath builds, sorted_joint calls (by their combine and seed
+        # size) and the folds _passive_energies makes itself (by combine).
         calls = Counter()
-        build_bath, build_joint = ergolock.bounds.bath_ensemble, ERGOTROPY_MODULE.sorted_joint
+        build_bath = ergolock.bounds.bath_ensemble
+        build_joint, fold = ERGOTROPY_MODULE.sorted_joint, ERGOTROPY_MODULE._fold
 
         def counted_bath(bath):
             calls["bath_ensemble"] += 1
             return build_bath(bath)
 
         def counted_joint(seed, factors, combine, cap):
-            calls[combine.__name__] += 1
+            calls[f"sorted_joint {combine.__name__} seed {len(seed)}"] += 1
             return build_joint(seed, factors, combine, cap)
+
+        def counted_fold(s, f, combine):
+            calls[f"fold {combine.__name__}"] += 1
+            return fold(s, f, combine)
 
         monkeypatch.setattr(ergolock.bounds, "bath_ensemble", counted_bath)
         monkeypatch.setattr(ERGOTROPY_MODULE, "sorted_joint", counted_joint)
+        monkeypatch.setattr(ERGOTROPY_MODULE, "_fold", counted_fold)
+        return calls
+
+    def test_sigma_sweep_builds_the_bath_arrays_once(self, monkeypatch):
+        # The weight-independent work of a sigma sweep on a qubit is done
+        # once: one bath build, one sorted bath energy array and one sorted
+        # bath probability array. The joint energies are one fold of the
+        # levels into the bath energies, and each state (rho, then each
+        # point's sigma) adds one fold of its eigenvalues.
+        calls = self._count_joint_builds(monkeypatch)
         rows = run_sweep(parse_config(sigma_sweep_config(4)))
         assert len(rows) == 25
         assert all(row.report is not None for row in rows)
-        assert calls == {"bath_ensemble": 1, "add": 1, "multiply": 26}
+        assert calls == {
+            "bath_ensemble": 1,
+            "sorted_joint add seed 1": 1,
+            "sorted_joint multiply seed 1": 1,
+            "fold add": 1,
+            "fold multiply": 26,
+        }
+
+    def test_five_level_sweep_folds_seed_first(self, monkeypatch):
+        # Past four levels each joint array is built from the system's values
+        # outward, as before: one energy array and one probability array per
+        # state, with no fold of a bath array.
+        calls = self._count_joint_builds(monkeypatch)
+        config = sigma_sweep_config(4)
+        config["system"] = {"gaps": [1.0, 0.5, 0.25, 0.125], "state": "plus"}
+        rows = run_sweep(parse_config(config))
+        assert len(rows) == 25
+        assert all(row.report is not None for row in rows)
+        assert calls == {
+            "bath_ensemble": 1,
+            "sorted_joint add seed 5": 1,
+            "sorted_joint multiply seed 5": 26,
+        }
 
     def test_capped_point_is_marked_and_run_continues(self):
         config = parse_config(base_config(sweep={"parameter": "N", "values": [2, 27]}))
@@ -436,6 +473,22 @@ class TestCliProcess:
             main(["sweep", "--config", cfg, "--threads", threads])
         assert info.value.code == 2
         assert "--threads: must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["report", "sweep"])
+    @pytest.mark.parametrize("seed", ["-1", str(1 << 64), "x"])
+    def test_seed_out_of_range_refused(self, command, seed, capsys):
+        # The range a config's "seed" and verify --seed accept.
+        cfg = str(CONFIGS / "weight_width_sweep.json")
+        with pytest.raises(SystemExit) as info:
+            main([command, "--config", cfg, "--seed", seed])
+        assert info.value.code == 2
+        assert "--seed: " in capsys.readouterr().err
+
+    def test_largest_seed_accepted(self, tmp_path):
+        out = tmp_path / "o.csv"
+        config = str(CONFIGS / "n1_report.json")
+        assert main(["report", "--config", config, "--seed", str((1 << 64) - 1),
+                     "--out", str(out)]) == 0
 
     def test_report_with_overflowing_gaussian_width(self, tmp_path, capsys):
         # 8 sigma^2 and the splitting's square both overflow; their ratio does not.

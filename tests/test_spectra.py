@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -12,12 +13,16 @@ from ergolock import (
     DensityOperator,
     DiagonalHamiltonian,
     GaussianWeight,
+    RandomSpec,
     SizeCapError,
     bound_report,
+    custom_bath,
+    random_state,
     skrzypczyk_bath,
     spectra,
 )
 from ergolock.bath import bath_ensemble
+from ergolock.oracle import MIXED_TRACE_NORMALIZED, PURE_HAAR
 from ergolock.spectra import (
     FactorizedEnsemble,
     SpectralEnsemble,
@@ -33,6 +38,9 @@ from ergolock.spectra import (
     tensor,
 )
 
+
+# ``ergolock.ergotropy`` is the re-exported function, not the submodule.
+ERGOTROPY_MODULE = importlib.import_module("ergolock.ergotropy")
 
 # Coherence survival factor of the worked example: exp(-omega^2 / 8 sigma^2)
 # at omega = sigma = 1.
@@ -424,3 +432,54 @@ class TestParts:
         finally:
             sys.setswitchinterval(interval)
         assert all(np.array_equal(bits(r), bits(want)) for r in results)
+
+
+class TestBathFirstFold:
+    """A system of at most four levels is folded into the bath's sorted
+    arrays; a larger one keeps the seed-first chain."""
+
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    @settings(max_examples=100, deadline=None)
+    @given(inputs=joint_inputs())
+    def test_fold_into_bath_arrays_equals_sorted_outer_product(self, parts, inputs):
+        # A zero in probs makes a zero eigenvalue, as a pure state has.
+        probs, energies, factors = inputs
+        values = eigens(DensityOperator(np.diag(probs)))
+        lex = expand(FactorizedEnsemble(factors))
+        with forced_parts(parts):
+            bath_p = sorted_joint(np.ones(1), [f.probs for f in factors], np.multiply)
+            bath_e = sorted_joint(np.zeros(1), [f.energies for f in factors], np.add)
+            joint_p = spectra._fold(bath_p, values, np.multiply)
+            joint_e = spectra._fold(bath_e, energies, np.add)
+        want_p = np.sort(np.multiply.outer(values, lex.probs).ravel())
+        want_e = np.sort(np.add.outer(energies, lex.energies).ravel())
+        assert np.array_equal(bits(joint_p), bits(want_p))
+        assert np.array_equal(bits(joint_e), bits(want_e))
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 7])
+    @pytest.mark.parametrize("n", [1, 7, 14, 20])
+    def test_passive_energies_match_the_seed_first_chain(self, dim, n):
+        # Within 1e-14 where the products are reassociated, bit for bit
+        # past four levels.
+        rng = np.random.default_rng(100 * dim + n)
+        hamiltonian = DiagonalHamiltonian(np.sort(rng.uniform(0.0, 3.0, dim)))
+        bath = bath_ensemble(custom_bath(rng.uniform(0.3, 3.0), rng.uniform(0.2, 2.5, n)))
+        states = [
+            random_state(RandomSpec(seed=100 * dim + n, dim=dim, kind=kind))
+            for kind in (PURE_HAAR, MIXED_TRACE_NORMALIZED)
+        ]
+        got = ERGOTROPY_MODULE._passive_energies(
+            states, hamiltonian, bath, spectra.DEFAULT_EXPANSION_CAP
+        )
+        energies = sorted_joint(hamiltonian.energies, [f.energies for f in bath.factors], np.add)
+        want = [
+            compensated_dot(
+                sorted_joint(eigens(state), [f.probs for f in bath.factors], np.multiply)[::-1],
+                energies,
+            )
+            for state in states
+        ]
+        if dim <= ERGOTROPY_MODULE._BATH_FIRST_MAX_DIM:
+            assert all(abs(g - w) <= 1e-14 for g, w in zip(got, want)), (got, want)
+        else:
+            assert got == want
