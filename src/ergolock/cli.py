@@ -17,7 +17,7 @@ from itertools import groupby
 from pathlib import Path
 
 from .bounds import BoundReport, bound_reports
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, ExperimentConfig, check_seed, load_config
 from .spectra import SizeCapError
 from .verify import run_verification
 
@@ -181,14 +181,14 @@ def _thread_count(text: str) -> int:
 
 
 def _seed(text: str) -> int:
-    # The range a config's "seed" and verify's seed accept.
     try:
         seed = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if not 0 <= seed < 1 << 64:
-        raise argparse.ArgumentTypeError(f"must fit in 64 unsigned bits, got {seed}")
-    return seed
+    try:
+        return check_seed(seed)
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -211,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run the seeded verification suite")
     verify.add_argument("--trials", type=int, default=200, help="trials per check")
-    verify.add_argument("--seed", type=int, default=42)
+    verify.add_argument("--seed", type=_seed, default=42)
     verify.add_argument("--max-dim", type=int, default=64,
                         help="largest joint dimension for dense comparisons")
     verify.add_argument("--out", default=None, help="summary JSON file (default: stdout)")

@@ -69,6 +69,14 @@ def _as_gaps(value: Any, path: str) -> list[float]:
     return [_as_positive(g, f"{path}[{i}]") for i, g in enumerate(value)]
 
 
+def check_seed(seed: int) -> int:
+    """``seed`` if it fits in 64 unsigned bits, the range of every seed a
+    config, ``report``/``sweep --seed`` or ``verify --seed`` accepts."""
+    if not 0 <= seed < 1 << 64:
+        raise _fail("seed", f"must fit in 64 unsigned bits, got {seed}")
+    return seed
+
+
 def _as_int(value: Any, path: str, minimum: int = 0) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise _fail(path, "expected an integer")
@@ -273,9 +281,7 @@ def parse_config(data: dict) -> ExperimentConfig:
 
     seed = None
     if data.get("seed") is not None:
-        seed = _as_int(data["seed"], "seed", minimum=0)
-        if seed >= 1 << 64:
-            raise _fail("seed", "must fit in 64 unsigned bits")
+        seed = check_seed(_as_int(data["seed"], "seed"))
 
     return ExperimentConfig(
         hamiltonian=hamiltonian,

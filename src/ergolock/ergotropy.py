@@ -4,16 +4,17 @@ The unitary minimization behind passive energy has a closed classical
 solution: pair the state's probabilities sorted descending with the energy
 levels sorted ascending. For a system state times a factorized bath, both
 joint multisets come already ascending from merges of sorted runs
-(:func:`spectra.sorted_joint`), so no joint-sized array is ever sorted from
-scratch and no dense joint matrix is touched. States that share a bath
-share one joint energy array. A system of at most four levels is folded
-into the bath's own sorted energy and probability arrays, so those are
-built once and each state adds a single merge.
+(:func:`spectra.sorted_joints`), so no joint-sized array is ever sorted from
+scratch and no dense joint matrix is touched. The bath's own sorted energy
+and probability arrays are built once per call; states that share a bath
+share one joint energy array, and each adds a single merge of its
+eigenvalues into the bath probabilities.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -24,25 +25,17 @@ from .spectra import (
     DiagonalHamiltonian,
     FactorizedEnsemble,
     SpectralEnsemble,
-    _check_cap,
     _check_temperature,
-    _fold,
     average_energy,
     compensated_dot,
     eigens,
     entropy,
     shannon_entropy,
-    sorted_joint,
+    sorted_joints,
     state_free_energy,
 )
 
 ERGOTROPY_FLOOR = -1e-10
-
-# Largest system dimension folded into the sorted bath arrays. A fold of d
-# values over the bath array merges d runs, about n*ceil(log2 d) work, where
-# the seed-first chain costs about 2n; bath_first_crossover in
-# BENCH_shared_bath_arrays.json measures where that stops paying.
-_BATH_FIRST_MAX_DIM = 4
 
 
 def _sorted_passive(p_asc: np.ndarray, e_asc: np.ndarray) -> float:
@@ -75,32 +68,21 @@ def _passive_energies(
     bath: FactorizedEnsemble,
     cap: int,
 ) -> list[float]:
-    # Passive energy of each (state x bath). The joint energies are built
-    # once; each state's joint probabilities live only for its own dot, so
-    # one joint probability array is held at a time, however many states
-    # there are. A small system is folded into the bath's sorted arrays,
-    # which are built once, so each state costs one fold: the products
-    # associate as p * (b_1 * ... * b_N) instead of (p * b_1) * ... * b_N,
-    # and the last ulp can differ from the seed-first chain a larger system
-    # keeps.
+    # Passive energy of each (state x bath). The bath's sorted energy and
+    # probability arrays are built once; the joint energies are one fold of
+    # the levels into the first, and each state's joint probabilities one
+    # fold of its eigenvalues into the second. map drops each joint
+    # probability array before the next is folded, so one is held at a
+    # time, however many states there are.
     if any(system.dim != hamiltonian.dim for system in systems):
         raise ValueError("system state and Hamiltonian dimensions differ")
-    energy_factors = [f.energies for f in bath.factors]
-    prob_factors = [f.probs for f in bath.factors]
-    if hamiltonian.dim > _BATH_FIRST_MAX_DIM:
-        energies = sorted_joint(hamiltonian.energies, energy_factors, np.add, cap)
-        return [
-            _sorted_passive(sorted_joint(eigens(system), prob_factors, np.multiply, cap), energies)
-            for system in systems
-        ]
-    _check_cap([hamiltonian.dim, *map(len, prob_factors)], cap)
-    bath_e = sorted_joint(np.zeros(1), energy_factors, np.add, cap)
-    energies = _fold(bath_e, hamiltonian.energies, np.add)
-    del bath_e
-    bath_p = sorted_joint(np.ones(1), prob_factors, np.multiply, cap)
-    return [
-        _sorted_passive(_fold(bath_p, eigens(system), np.multiply), energies) for system in systems
-    ]
+    (energies,) = sorted_joints(
+        [hamiltonian.energies], [f.energies for f in bath.factors], np.add, cap
+    )
+    probs = sorted_joints(
+        [eigens(system) for system in systems], [f.probs for f in bath.factors], np.multiply, cap
+    )
+    return list(map(_sorted_passive, probs, repeat(energies)))
 
 
 def _joint_average_energy(

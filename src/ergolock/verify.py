@@ -19,7 +19,7 @@ import numpy as np
 
 from .bath import BathSpec, bath_ensemble, custom_bath, skrzypczyk_bath
 from .bounds import free_energy_bound
-from .config import ConfigError
+from .config import ConfigError, check_seed
 from .ergotropy import ergotropy_product, shared_bath_ergotropies, theorem2_check
 from .oracle import (
     MIXED_TRACE_NORMALIZED,
@@ -201,8 +201,7 @@ def run_verification(trials: int, seed: int, max_dim: int = 64) -> dict:
     """Run every check with `trials` trials each; returns the summary dict."""
     if trials < 1:
         raise ConfigError("trials: empty verification is refused")
-    if not 0 <= seed < 1 << 64:
-        raise ConfigError("seed: must fit in 64 unsigned bits")
+    check_seed(seed)
     if max_dim > 64:
         raise ConfigError("max_dim: dense comparisons are limited to 64")
     if max_dim < 8:

@@ -216,61 +216,47 @@ class TestSweepEngine:
 
     @staticmethod
     def _count_joint_builds(monkeypatch) -> Counter:
-        # Counts bath builds, sorted_joint calls (by their combine and seed
-        # size) and the folds _passive_energies makes itself (by combine).
+        # Counts bath builds, the sorted bath arrays sorted_joints builds (one
+        # per call, by combine) and the folds into them (one per array it
+        # yields).
         calls = Counter()
         build_bath = ergolock.bounds.bath_ensemble
-        build_joint, fold = ERGOTROPY_MODULE.sorted_joint, ERGOTROPY_MODULE._fold
+        build_joints = ERGOTROPY_MODULE.sorted_joints
 
         def counted_bath(bath):
             calls["bath_ensemble"] += 1
             return build_bath(bath)
 
-        def counted_joint(seed, factors, combine, cap):
-            calls[f"sorted_joint {combine.__name__} seed {len(seed)}"] += 1
-            return build_joint(seed, factors, combine, cap)
-
-        def counted_fold(s, f, combine):
-            calls[f"fold {combine.__name__}"] += 1
-            return fold(s, f, combine)
+        def counted_joints(seeds, factors, combine, cap):
+            calls[f"bath array {combine.__name__}"] += 1
+            for joint in build_joints(seeds, factors, combine, cap):
+                calls[f"fold {combine.__name__}"] += 1
+                yield joint
 
         monkeypatch.setattr(ergolock.bounds, "bath_ensemble", counted_bath)
-        monkeypatch.setattr(ERGOTROPY_MODULE, "sorted_joint", counted_joint)
-        monkeypatch.setattr(ERGOTROPY_MODULE, "_fold", counted_fold)
+        monkeypatch.setattr(ERGOTROPY_MODULE, "sorted_joints", counted_joints)
         return calls
 
-    def test_sigma_sweep_builds_the_bath_arrays_once(self, monkeypatch):
-        # The weight-independent work of a sigma sweep on a qubit is done
-        # once: one bath build, one sorted bath energy array and one sorted
-        # bath probability array. The joint energies are one fold of the
-        # levels into the bath energies, and each state (rho, then each
-        # point's sigma) adds one fold of its eigenvalues.
-        calls = self._count_joint_builds(monkeypatch)
-        rows = run_sweep(parse_config(sigma_sweep_config(4)))
-        assert len(rows) == 25
-        assert all(row.report is not None for row in rows)
-        assert calls == {
-            "bath_ensemble": 1,
-            "sorted_joint add seed 1": 1,
-            "sorted_joint multiply seed 1": 1,
-            "fold add": 1,
-            "fold multiply": 26,
-        }
-
-    def test_five_level_sweep_folds_seed_first(self, monkeypatch):
-        # Past four levels each joint array is built from the system's values
-        # outward, as before: one energy array and one probability array per
-        # state, with no fold of a bath array.
+    @pytest.mark.parametrize("gaps", [[1.0], [1.0, 0.5, 0.25, 0.125]], ids=["qubit", "five_levels"])
+    def test_sigma_sweep_builds_the_bath_arrays_once(self, monkeypatch, gaps):
+        # The weight-independent work of a sigma sweep is done once, for a
+        # qubit and for a five-level system alike: one bath build, one sorted
+        # bath energy array and one sorted bath probability array. The joint
+        # energies are one fold of the levels into the bath energies, and
+        # each state (rho, then each point's sigma) adds one fold of its
+        # eigenvalues.
         calls = self._count_joint_builds(monkeypatch)
         config = sigma_sweep_config(4)
-        config["system"] = {"gaps": [1.0, 0.5, 0.25, 0.125], "state": "plus"}
+        config["system"] = {"gaps": gaps, "state": "plus"}
         rows = run_sweep(parse_config(config))
         assert len(rows) == 25
         assert all(row.report is not None for row in rows)
         assert calls == {
             "bath_ensemble": 1,
-            "sorted_joint add seed 5": 1,
-            "sorted_joint multiply seed 5": 26,
+            "bath array add": 1,
+            "bath array multiply": 1,
+            "fold add": 1,
+            "fold multiply": 26,
         }
 
     def test_capped_point_is_marked_and_run_continues(self):
@@ -474,13 +460,14 @@ class TestCliProcess:
         assert info.value.code == 2
         assert "--threads: must be at least 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["report", "sweep"])
+    @pytest.mark.parametrize("command", ["report", "sweep", "verify"])
     @pytest.mark.parametrize("seed", ["-1", str(1 << 64), "x"])
     def test_seed_out_of_range_refused(self, command, seed, capsys):
-        # The range a config's "seed" and verify --seed accept.
+        # The range a config's "seed" accepts.
         cfg = str(CONFIGS / "weight_width_sweep.json")
+        args = [command] if command == "verify" else [command, "--config", cfg]
         with pytest.raises(SystemExit) as info:
-            main([command, "--config", cfg, "--seed", seed])
+            main([*args, "--seed", seed])
         assert info.value.code == 2
         assert "--seed: " in capsys.readouterr().err
 

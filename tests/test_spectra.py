@@ -35,6 +35,7 @@ from ergolock.spectra import (
     free_energy,
     gibbs_ensemble,
     sorted_joint,
+    sorted_joints,
     tensor,
 )
 
@@ -379,6 +380,9 @@ class TestParts:
             ([-0.0, 0.0, 5e-324, 1e-200], [[0.0, -0.0, 1e-200], [1.0, 1e-300]]),
             # A negative factor value makes a descending run.
             ([-2.0, -1.0, 0.0, 3.0], [[-1e-13, 0.5, 2.0], [1.0, -3.0]]),
+            # A many-valued factor: one fold cuts 41 runs, rising, falling
+            # and constant, at once.
+            ([0.5, 0.5, -1.0, 2.0], [[*np.linspace(-3.0, 3.0, 40), 0.0], [1.0, 0.0]]),
         ],
     )
     def test_partitioned_fold_on_ties_and_extremes(self, parts, seed, factors):
@@ -434,33 +438,40 @@ class TestParts:
         assert all(np.array_equal(bits(r), bits(want)) for r in results)
 
 
-class TestBathFirstFold:
-    """A system of at most four levels is folded into the bath's sorted
-    arrays; a larger one keeps the seed-first chain."""
+class TestSortedJoints:
+    """Several seeds folded into one sorted array of the bath factors."""
 
     @pytest.mark.parametrize("parts", [1, 2, 3])
     @settings(max_examples=100, deadline=None)
     @given(inputs=joint_inputs())
-    def test_fold_into_bath_arrays_equals_sorted_outer_product(self, parts, inputs):
+    def test_folds_equal_the_sorted_outer_product(self, parts, inputs):
         # A zero in probs makes a zero eigenvalue, as a pure state has.
         probs, energies, factors = inputs
         values = eigens(DensityOperator(np.diag(probs)))
         lex = expand(FactorizedEnsemble(factors))
         with forced_parts(parts):
-            bath_p = sorted_joint(np.ones(1), [f.probs for f in factors], np.multiply)
-            bath_e = sorted_joint(np.zeros(1), [f.energies for f in factors], np.add)
-            joint_p = spectra._fold(bath_p, values, np.multiply)
-            joint_e = spectra._fold(bath_e, energies, np.add)
+            (joint_p,) = sorted_joints([values], [f.probs for f in factors], np.multiply)
+            (joint_e,) = sorted_joints([energies], [f.energies for f in factors], np.add)
         want_p = np.sort(np.multiply.outer(values, lex.probs).ravel())
         want_e = np.sort(np.add.outer(energies, lex.energies).ravel())
         assert np.array_equal(bits(joint_p), bits(want_p))
         assert np.array_equal(bits(joint_e), bits(want_e))
 
-    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 7])
+    def test_cap_covers_the_largest_seed_before_the_bath_is_built(self, monkeypatch):
+        factors = [np.array([0.0, 1.0])] * 9
+        seeds = [np.zeros(2), np.zeros(3)]
+        with monkeypatch.context() as patch:
+            patch.setattr(spectra, "sorted_joint", lambda *args: pytest.fail("bath built"))
+            with pytest.raises(SizeCapError) as info:
+                sorted_joints(seeds, factors, np.add, cap=1535)
+        assert (info.value.size, info.value.cap) == (1536, 1535)
+        assert [a.size for a in sorted_joints(seeds, factors, np.add, cap=1536)] == [1024, 1536]
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 7, 16])
     @pytest.mark.parametrize("n", [1, 7, 14, 20])
     def test_passive_energies_match_the_seed_first_chain(self, dim, n):
-        # Within 1e-14 where the products are reassociated, bit for bit
-        # past four levels.
+        # The products associate as lambda * (b_1 * ... * b_N) where
+        # sorted_joint's chain gives ((lambda * b_1) * ...) * b_N.
         rng = np.random.default_rng(100 * dim + n)
         hamiltonian = DiagonalHamiltonian(np.sort(rng.uniform(0.0, 3.0, dim)))
         bath = bath_ensemble(custom_bath(rng.uniform(0.3, 3.0), rng.uniform(0.2, 2.5, n)))
@@ -479,7 +490,4 @@ class TestBathFirstFold:
             )
             for state in states
         ]
-        if dim <= ERGOTROPY_MODULE._BATH_FIRST_MAX_DIM:
-            assert all(abs(g - w) <= 1e-14 for g, w in zip(got, want)), (got, want)
-        else:
-            assert got == want
+        assert all(abs(g - w) <= 1e-14 for g, w in zip(got, want)), (got, want)
