@@ -91,8 +91,8 @@ def locked_energy(
     return bound_report(rho, hamiltonian, weight, bath).locked_energy
 
 
-def _entropy_gap(rho: DensityOperator, sigma: DensityOperator, temperature: float) -> float:
-    return temperature * (shannon_entropy(eigens(sigma)) - shannon_entropy(eigens(rho)))
+def _entropy(state: DensityOperator) -> float:
+    return shannon_entropy(eigens(state))
 
 
 def thermo_limit_locked(
@@ -111,7 +111,7 @@ def thermo_limit_locked(
     """
     _check_temperature(temperature)
     sigma = control_marginal(rho, hamiltonian, weight)
-    return _entropy_gap(rho, sigma, temperature)
+    return temperature * (_entropy(sigma) - _entropy(rho))
 
 
 def bound_report(
@@ -132,23 +132,25 @@ def bound_reports(
 ) -> list[BoundReport]:
     """Evaluate the full bound chain for each weight on one bath.
 
-    The bath ensemble, the sorted joint energies, the resource ergotropy and
-    the free-energy ceiling are computed once and shared by every report, so
-    the reports are consistent under floating-point noise by construction;
-    each weight adds its averaged state sigma, one joint probability array
-    and the entropy gap. Each report equals the single-weight one bit for bit.
+    The bath ensemble, the sorted joint energies, the resource ergotropy,
+    the free-energy ceiling and S(rho) are computed once and shared by every
+    report, so the reports are consistent under floating-point noise by
+    construction; each weight adds its averaged state sigma, one streamed
+    passive energy and the entropy gap. Each report equals the single-weight
+    one bit for bit.
     """
     _check_bath_cap(hamiltonian, bath)
     states = [rho, *(control_marginal(rho, hamiltonian, weight) for weight in weights)]
     resource, *tights = shared_bath_ergotropies(states, hamiltonian, bath_ensemble(bath))
     ceiling = free_energy_bound(rho, hamiltonian, bath.T)
+    rho_entropy = _entropy(rho)
     return [
         BoundReport(
             tight_bound=tight,
             resource_ergotropy=resource,
             locked_energy=resource - tight,
             free_energy_bound=ceiling,
-            thermo_limit_locked=_entropy_gap(rho, sigma, bath.T),
+            thermo_limit_locked=bath.T * (_entropy(sigma) - rho_entropy),
         )
         for tight, sigma in zip(tights, states[1:])
     ]

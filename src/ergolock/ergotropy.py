@@ -4,17 +4,16 @@ The unitary minimization behind passive energy has a closed classical
 solution: pair the state's probabilities sorted descending with the energy
 levels sorted ascending. For a system state times a factorized bath, both
 joint multisets come already ascending from merges of sorted runs
-(:func:`spectra.sorted_joints`), so no joint-sized array is ever sorted from
-scratch and no dense joint matrix is touched. The bath's own sorted energy
-and probability arrays are built once per call; states that share a bath
-share one joint energy array, and each adds a single merge of its
-eigenvalues into the bath probabilities.
+(:func:`spectra.passive_energies`), so no joint-sized array is ever sorted
+from scratch and no dense joint matrix is touched. The bath's own sorted
+energy and probability arrays are built once per call; states that share a
+bath share one joint energy array, and each streams a merge of its
+eigenvalues into the bath probabilities through the dot, chunk by chunk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -30,19 +29,12 @@ from .spectra import (
     compensated_dot,
     eigens,
     entropy,
+    passive_energies,
     shannon_entropy,
-    sorted_joints,
     state_free_energy,
 )
 
 ERGOTROPY_FLOOR = -1e-10
-
-
-def _sorted_passive(p_asc: np.ndarray, e_asc: np.ndarray) -> float:
-    # Both inputs ascending: the largest probability meets the lowest energy.
-    # Equal values are interchangeable in either array, so the value does not
-    # depend on how a sort ordered them.
-    return compensated_dot(p_asc[::-1], e_asc)
 
 
 def passive_energy(ensemble: SpectralEnsemble) -> float:
@@ -51,7 +43,7 @@ def passive_energy(ensemble: SpectralEnsemble) -> float:
     Equals the dot product of probabilities sorted descending with energies
     sorted ascending; ties in either list cannot change the value.
     """
-    return _sorted_passive(np.sort(ensemble.probs), np.sort(ensemble.energies))
+    return compensated_dot(np.sort(ensemble.probs)[::-1], np.sort(ensemble.energies))
 
 
 def ergotropy(ensemble: SpectralEnsemble) -> float:
@@ -68,32 +60,26 @@ def _passive_energies(
     bath: FactorizedEnsemble,
     cap: int,
 ) -> list[float]:
-    # Passive energy of each (state x bath). The bath's sorted energy and
-    # probability arrays are built once; the joint energies are one fold of
-    # the levels into the first, and each state's joint probabilities one
-    # fold of its eigenvalues into the second. map drops each joint
-    # probability array before the next is folded, so one is held at a
-    # time, however many states there are.
+    # Passive energy of each (state x bath), one joint energy array shared
+    # by all and no joint probability array held.
     if any(system.dim != hamiltonian.dim for system in systems):
         raise ValueError("system state and Hamiltonian dimensions differ")
-    (energies,) = sorted_joints(
-        [hamiltonian.energies], [f.energies for f in bath.factors], np.add, cap
-    )
-    probs = sorted_joints(
-        [eigens(system) for system in systems], [f.probs for f in bath.factors], np.multiply, cap
-    )
-    return list(map(_sorted_passive, probs, repeat(energies)))
+    return passive_energies([eigens(s) for s in systems], hamiltonian.energies, bath, cap)
 
 
-def _joint_average_energy(
-    system: DensityOperator,
+def _average_energies(
+    systems: Sequence[DensityOperator],
     hamiltonian: DiagonalHamiltonian,
     bath: FactorizedEnsemble,
-) -> float:
-    # E(rho x bath) = Tr[H_S rho] + E(bath); energy is additive over the
-    # product, so the system eigenbasis never has to be materialized.
-    system_energy = compensated_dot(system.diagonal(), hamiltonian.energies)
-    return system_energy + sum(average_energy(f) for f in bath.factors)
+) -> list[float]:
+    # E(rho x bath) = Tr[H_S rho] + E(bath) for each state; energy is
+    # additive over the product, so the system eigenbasis never has to be
+    # materialized, and the bath's mean energy is summed once.
+    bath_energy = sum(average_energy(f) for f in bath.factors)
+    return [
+        compensated_dot(system.diagonal(), hamiltonian.energies) + bath_energy
+        for system in systems
+    ]
 
 
 def ergotropy_product(
@@ -126,8 +112,8 @@ def shared_bath_ergotropies(
     """
     passives = _passive_energies(systems, hamiltonian, bath, cap)
     values = []
-    for system, passive in zip(systems, passives):
-        value = _joint_average_energy(system, hamiltonian, bath) - passive
+    for mean, passive in zip(_average_energies(systems, hamiltonian, bath), passives):
+        value = mean - passive
         if value < ERGOTROPY_FLOOR:
             raise ArithmeticError(f"ergotropy {value:.3e} below the numerical floor")
         values.append(value)
@@ -184,8 +170,9 @@ def theorem2_check(
     free_xi_passive = xi_passive - temperature * (shannon_entropy(eigens(xi)) + bath_entropy)
     condition = free_xi_passive <= free_rho_passive
 
-    rho_ergotropy = _joint_average_energy(rho, hamiltonian, bath) - rho_passive
-    xi_ergotropy = _joint_average_energy(xi, hamiltonian, bath) - xi_passive
+    rho_mean, xi_mean = _average_energies([rho, xi], hamiltonian, bath)
+    rho_ergotropy = rho_mean - rho_passive
+    xi_ergotropy = xi_mean - xi_passive
 
     return Theorem2Result(
         condition_holds=bool(condition),

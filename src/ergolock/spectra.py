@@ -6,12 +6,13 @@ states of many such factors are kept factorized (:class:`FactorizedEnsemble`).
 Passive energies need only the two joint multisets, each in ascending order,
 and :func:`sorted_joint` builds those directly: it combines one factor at a
 time into an already sorted array, so every step is a linear merge of sorted
-runs rather than a full sort. :func:`sorted_joints` builds the factors'
-array once and folds each of several seeds into it. A large fold, and a large
-:func:`compensated_dot`, is cut into one part per CPU in the process's
-affinity mask, with the same result bit for bit. :func:`expand` keeps the
-lexicographic joint order for the dense oracle. Small non-diagonal system
-states are carried as dense matrices (:class:`DensityOperator`).
+runs rather than a full sort. :func:`passive_energies` builds the bath's
+arrays once and streams each state's joint probabilities into the dot in
+cache-sized chunks, so no joint probability array is held. A large fold, and
+a large :func:`compensated_dot`, is cut into one part per CPU in the
+process's affinity mask, with the same result bit for bit. :func:`expand`
+keeps the lexicographic joint order for the dense oracle. Small non-diagonal
+system states are carried as dense matrices (:class:`DensityOperator`).
 
 Units: hbar = k_B = 1, natural logarithm throughout.
 """
@@ -24,8 +25,9 @@ import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import accumulate
-from typing import Any, Callable, Iterator, Sequence
+from itertools import accumulate, chain, groupby
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -40,6 +42,10 @@ FACTOR_SUM_ATOL = 1e-9
 DEFAULT_EXPANSION_CAP = 1 << 26
 
 _SUM_BLOCK = 1 << 15
+
+# A fold is written and sorted in value-range chunks of about this many
+# elements, so a sort's merge buffer stays cache-sized.
+_CHUNK = 1 << 17
 
 # Below this many elements a fold or a dot runs as one part on the caller:
 # on a 2-core Xeon guest, 2^18 is the smallest fold that two parts sort
@@ -86,6 +92,11 @@ def _check_cap(sizes: Sequence[int], cap: int) -> None:
 
 def _parts(size: int) -> int:
     return 1 if size < _PARALLEL_MIN else _PARTS
+
+
+def _share(count: int, k: int, parts: int) -> range:
+    # Part k's contiguous share of count items.
+    return range(count * k // parts, count * (k + 1) // parts)
 
 
 def _run_parts(task: Callable[[int, int], Any], parts: int) -> list:
@@ -137,18 +148,57 @@ def compensated_dot(a: np.ndarray, b: np.ndarray) -> float:
     if a.size <= _SUM_BLOCK:
         return compensated_sum(np.multiply(a, b))
     a, b = a.reshape(-1), np.asarray(b, dtype=np.float64).reshape(-1)
-    starts = range(0, a.size, _SUM_BLOCK)
+    blocks = -(-a.size // _SUM_BLOCK)
 
-    def span(k: int, parts: int) -> list[float]:
-        buffer = np.empty(_SUM_BLOCK)
-        partials = []
-        for i in starts[k * len(starts) // parts : (k + 1) * len(starts) // parts]:
-            j = min(i + _SUM_BLOCK, a.size)
-            partials.append(float(np.multiply(a[i:j], b[i:j], out=buffer[: j - i]).sum()))
-        return partials
+    def span(k: int, parts: int) -> list:
+        share = _share(blocks, k, parts)
+        lo, hi = (min(a.size, i * _SUM_BLOCK) for i in (share.start, share.stop))
+        return _block_sums([(a[lo:hi], b[lo:hi])], lo, a.size)
 
-    spans = _run_parts(span, _parts(a.size))
-    return float(math.fsum(p for partials in spans for p in partials))
+    return _fsum_blocks(_run_parts(span, _parts(a.size)), a.size)
+
+
+def _block_sum(products: np.ndarray, n: int) -> float:
+    # compensated_sum's partial for one block of an n-term sum.
+    return math.fsum(products.tolist()) if n <= _SUM_BLOCK else float(products.sum())
+
+
+def _block_sums(pairs: Iterable[tuple[np.ndarray, np.ndarray]], rank: int, n: int) -> list:
+    # (block index, partial) for each block of an n-term dot whose products
+    # a * b arrive in rank order from ``rank`` on, one (a, b) pair at a time.
+    # They are formed in one block buffer, so a block that straddles two
+    # pairs is completed there. A block cut by the first or the last rank
+    # given keeps its products in place of a partial, for _fsum_blocks.
+    buffer, start, items = np.empty(min(n, _SUM_BLOCK)), rank, []
+    for a, b in pairs:
+        i = 0
+        while i < a.size:
+            j = i + min(a.size - i, _SUM_BLOCK - rank % _SUM_BLOCK)
+            np.multiply(a[i:j], b[i:j], out=buffer[rank - start : rank - start + j - i])
+            rank, i = rank + j - i, j
+            if rank % _SUM_BLOCK == 0 or rank == n:
+                products = buffer[: rank - start]
+                whole = start % _SUM_BLOCK == 0
+                value = _block_sum(products, n) if whole else products.copy()
+                items.append((start // _SUM_BLOCK, value))
+                start = rank
+    if rank > start:
+        items.append((start // _SUM_BLOCK, buffer[: rank - start]))
+    return items
+
+
+def _fsum_blocks(parts: list[list], n: int) -> float:
+    # fsum of the block partials of every part, given in rank order. The
+    # pieces of a block cut by part ends are joined; ranks past the last
+    # piece hold zero products (a zero eigenvalue's, never folded).
+    partials = []
+    for block, items in groupby(chain.from_iterable(parts), key=itemgetter(0)):
+        values = [value for _, value in items]
+        if not isinstance(values[0], float):
+            zeros = min(_SUM_BLOCK, n - block * _SUM_BLOCK) - sum(v.size for v in values)
+            values = [_block_sum(np.concatenate([*values, np.zeros(zeros)]), n)]
+        partials.append(values[0])
+    return math.fsum(partials)
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -374,14 +424,16 @@ def sorted_joint(
     a -0.0 and a 0.0, which compare equal, may differ). A result larger than
     ``cap`` raises :class:`SizeCapError` before anything is allocated.
 
-    A fold of ``_PARALLEL_MIN`` elements or more is cut into one value range
-    per part (see :func:`_run_parts`), after Odeh et al., "Merge Path",
-    IPDPS Workshops 2012. Pivots come from a strided sample; each run is
-    cut at the pivots by bisection, and each part writes its pieces of the
-    runs into its own slice of the output and sorts that slice. All copies
-    of a value (a -0.0 and a 0.0 included) fall in one range, in the order
-    one whole-array stable sort would meet them, so the result is the same
-    array bit for bit, whatever the number of parts.
+    A fold of more than ``_CHUNK`` elements is cut into value-range chunks
+    of about that size, after Odeh et al., "Merge Path", IPDPS Workshops
+    2012. Pivots come from a strided sample; each run is cut at the pivots
+    by bisection, and each chunk's pieces of the runs are written into its
+    own slice of the output, which is sorted there, so a merge buffer is at
+    most about half a chunk. A fold of ``_PARALLEL_MIN`` elements or more
+    gives each part (see :func:`_run_parts`) a contiguous run of chunks.
+    All copies of a value (a -0.0 and a 0.0 included) fall in one chunk, in
+    the order one whole-array stable sort would meet them, so the result is
+    the same array bit for bit, however it is cut.
     """
     _check_cap([len(seed), *map(len, factors)], cap)
     s = np.sort(np.asarray(seed, dtype=np.float64))
@@ -390,59 +442,114 @@ def sorted_joint(
     return s
 
 
-def sorted_joints(
-    seeds: Sequence[np.ndarray],
-    factors: Sequence[np.ndarray],
-    combine: np.ufunc,
+def passive_energies(
+    eigenvalues: Sequence[np.ndarray],
+    levels: np.ndarray,
+    bath: FactorizedEnsemble,
     cap: int = DEFAULT_EXPANSION_CAP,
-) -> Iterator[np.ndarray]:
-    """The ascending joint array of each seed with the same factors, in seed
-    order, as :func:`sorted_joint` defines it.
+) -> list[float]:
+    """Passive energy of each state, given by its non-negative eigenvalues,
+    with the bath, under the system ``levels`` plus the bath's energies.
 
-    The factors alone are combined once, into a sorted array ``t`` that
-    starts from ``combine``'s identity, and each result is one fold of its
-    seed's ``d`` values into ``t``. That fold merges ``d`` runs, about
-    ``n * log2(d)`` work for ``n`` elements, where a chain of
-    :func:`sorted_joint` costs about ``2n`` per seed: the shared ``t`` pays
-    for small ``d`` or many seeds, and a many-level seed costs more (a
-    400-level seed on 10 qubits about 1.4 times as much). The values form
-    the multiset of ``combine(c, t_j)``, so a product is
-    ``c * (b_1 * ... * b_N)`` and not ``((c * b_1) * ...) * b_N``: the last
-    ulp can differ from :func:`sorted_joint`. Every seed's full joint size
-    is checked against ``cap`` before anything is built. The results are
-    built one per step of the returned iterator, so a caller that drops
-    each before taking the next holds one at a time.
+    The bath's sorted energy and probability arrays are built once. The
+    joint energies are one fold of the levels into the first; they are held
+    whole. Each state's joint probabilities, one fold of its eigenvalues
+    into the second, are streamed into the dot in chunks
+    (:func:`_passive_dot`) and never held. A product is
+    ``lambda * (b_1 * ... * b_N)``, a joint energy ``h + (e_1 + ... + e_N)``.
+    Every state's full joint size is checked against ``cap`` before
+    anything is built.
     """
-    _check_cap([max(map(len, seeds), default=1), *map(len, factors)], cap)
-    t = sorted_joint(np.array([combine.identity], dtype=np.float64), factors, combine, cap)
-    return (_fold(t, np.asarray(seed, dtype=np.float64), combine) for seed in seeds)
+    _check_cap([max(map(len, [levels, *eigenvalues])), *(f.size for f in bath.factors)], cap)
+    energies = _fold(
+        sorted_joint(np.zeros(1), [f.energies for f in bath.factors], np.add, cap),
+        np.asarray(levels, dtype=np.float64),
+        np.add,
+    )
+    probs = sorted_joint(np.ones(1), [f.probs for f in bath.factors], np.multiply, cap)
+    return [_passive_dot(probs, np.asarray(v, dtype=np.float64), energies) for v in eigenvalues]
+
+
+def _passive_dot(t: np.ndarray, values: np.ndarray, energies: np.ndarray) -> float:
+    # compensated_dot(_fold(t, values, np.multiply)[::-1], energies) bit for
+    # bit, for a non-negative ascending t and non-negative values, without
+    # building the fold. Each part of _run_parts takes a contiguous run of
+    # chunks, highest values first; each chunk is written and sorted in one
+    # reused buffer and paired, reversed, with its rank slice of energies.
+    # Zero values are not folded: their products, all zero, take the last
+    # ranks, which _fsum_blocks keeps in the block layout.
+    folded = values[values != 0]
+    m = folded.size * t.size
+    parts = _parts(m)
+    pieces, offsets = _chunks(t, folded, np.multiply, parts)
+
+    def part(k: int, parts: int) -> list:
+        chunks = _share(len(pieces), k, parts)[::-1]
+        bounds = [(offsets[c], offsets[c + 1]) for c in chunks]
+        buffer = np.empty(max(hi - lo for lo, hi in bounds))
+        pairs = (
+            (
+                _write_chunk(np.multiply, t, pieces[c], buffer[: hi - lo])[::-1],
+                energies[m - hi : m - lo],
+            )
+            for c, (lo, hi) in zip(chunks, bounds)
+        )
+        return _block_sums(pairs, m - bounds[0][1], energies.size)
+
+    return _fsum_blocks(_run_parts(part, parts)[::-1], energies.size)
 
 
 def _fold(s: np.ndarray, f: np.ndarray, combine: np.ufunc) -> np.ndarray:
-    # Sorted multiset of combine(c, x) over c in f and x in the sorted s.
-    # pieces[k][r] is the (lo, hi) slice of s whose run r part k holds, and
-    # offsets[k] is where part k starts in out.
+    # Sorted multiset of combine(c, x) over c in f and x in the sorted s,
+    # each chunk sorted in its own slice of the output.
     out = np.empty(f.size * s.size)
     parts = _parts(out.size)
-    if parts == 1:
-        pieces, offsets = [[(0, s.size)] * f.size], [0, out.size]
-    else:
-        # About 2^11 sample values, however many runs there are.
-        sample = np.sort(combine.outer(f, s[:: max(1, out.size >> 11)]), axis=None)
-        pivots = sample[[sample.size * k // parts for k in range(1, parts)]]
-        lo, hi = _run_pieces(combine, f, s, pivots)
-        pieces = [list(zip(*bounds)) for bounds in zip(lo.tolist(), hi.tolist())]
-        offsets = list(accumulate([0, *(hi - lo).sum(axis=1).tolist()]))
-    values = f.tolist()
+    pieces, offsets = _chunks(s, f, combine, parts)
 
     def part(k: int, parts: int) -> None:
-        pos = offsets[k]
-        for c, (lo, hi) in zip(values, pieces[k]):
-            combine(c, s[lo:hi], out=out[pos : pos + hi - lo])
-            pos += hi - lo
-        out[offsets[k] : offsets[k + 1]].sort(kind="stable")
+        for c in _share(len(pieces), k, parts):
+            _write_chunk(combine, s, pieces[c], out[offsets[c] : offsets[c + 1]])
 
     _run_parts(part, parts)
+    return out
+
+
+def _chunks(
+    s: np.ndarray, f: np.ndarray, combine: np.ufunc, parts: int
+) -> tuple[list[list[tuple[float, int, int]]], list[int]]:
+    # Cuts the fold of f into the sorted s into value-range chunks of about
+    # _CHUNK elements, at least one per part: pieces[c] lists the (value, lo,
+    # hi) run pieces combine(value, s[lo:hi]) of chunk c in run order, and
+    # offsets[c] is where chunk c starts in the sorted fold. All copies of a
+    # value fall in one chunk, so a tie group larger than a chunk is kept
+    # whole.
+    size = f.size * s.size
+    count = max(parts, -(-size // _CHUNK))
+    if count == 1:
+        return [[(c, 0, s.size) for c in f.tolist()]], [0, size]
+    # About 16 sample values per chunk, and at least 2^11.
+    stride = max(1, size // max(16 * count, 1 << 11))
+    sample = np.sort(combine.outer(f, s[::stride]), axis=None)
+    pivots = sample[[sample.size * k // count for k in range(1, count)]]
+    lo, hi = _run_pieces(combine, f, s, pivots)
+    values = f.tolist()
+    pieces = [
+        [(c, a, b) for c, a, b in zip(values, los, his) if b > a]
+        for los, his in zip(lo.tolist(), hi.tolist())
+    ]
+    return pieces, list(accumulate([0, *(hi - lo).sum(axis=1).tolist()]))
+
+
+def _write_chunk(
+    combine: np.ufunc, s: np.ndarray, pieces: list[tuple[float, int, int]], out: np.ndarray
+) -> np.ndarray:
+    # Writes a chunk's run pieces into out in run order and sorts it stably,
+    # so ties keep the order one whole-array stable sort would give them.
+    pos = 0
+    for c, lo, hi in pieces:
+        combine(c, s[lo:hi], out=out[pos : pos + hi - lo])
+        pos += hi - lo
+    out.sort(kind="stable")
     return out
 
 

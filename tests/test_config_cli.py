@@ -1,5 +1,4 @@
 import csv
-import importlib
 import io
 import json
 import math
@@ -15,14 +14,13 @@ from ergolock import (
     GaussianWeight,
     bound_report,
     skrzypczyk_bath,
+    spectra,
 )
 from ergolock.config import ConfigError, load_config, parse_config
+from ergolock.spectra import compensated_dot
 from ergolock.verify import run_verification
 from ergolock.cli import CSV_COLUMNS, emit_csv, emit_json, main, run_report, run_sweep
 
-
-# ``ergolock.ergotropy`` is the re-exported function, not the submodule.
-ERGOTROPY_MODULE = importlib.import_module("ergolock.ergotropy")
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -216,25 +214,39 @@ class TestSweepEngine:
 
     @staticmethod
     def _count_joint_builds(monkeypatch) -> Counter:
-        # Counts bath builds, the sorted bath arrays sorted_joints builds (one
-        # per call, by combine) and the folds into them (one per array it
-        # yields).
+        # Counts bath builds, the sorted bath arrays (one sorted_joint call
+        # per combine), the folds made outside those builds (the joint
+        # energies) and the state passives streamed into the dot.
         calls = Counter()
+        building = []
         build_bath = ergolock.bounds.bath_ensemble
-        build_joints = ERGOTROPY_MODULE.sorted_joints
+        build_array, fold, stream = spectra.sorted_joint, spectra._fold, spectra._passive_dot
 
         def counted_bath(bath):
             calls["bath_ensemble"] += 1
             return build_bath(bath)
 
-        def counted_joints(seeds, factors, combine, cap):
+        def counted_array(seed, factors, combine, cap):
             calls[f"bath array {combine.__name__}"] += 1
-            for joint in build_joints(seeds, factors, combine, cap):
+            building.append(combine)
+            try:
+                return build_array(seed, factors, combine, cap)
+            finally:
+                building.pop()
+
+        def counted_fold(s, f, combine):
+            if not building:
                 calls[f"fold {combine.__name__}"] += 1
-                yield joint
+            return fold(s, f, combine)
+
+        def counted_stream(t, values, energies):
+            calls["streamed passive"] += 1
+            return stream(t, values, energies)
 
         monkeypatch.setattr(ergolock.bounds, "bath_ensemble", counted_bath)
-        monkeypatch.setattr(ERGOTROPY_MODULE, "sorted_joints", counted_joints)
+        monkeypatch.setattr(spectra, "sorted_joint", counted_array)
+        monkeypatch.setattr(spectra, "_fold", counted_fold)
+        monkeypatch.setattr(spectra, "_passive_dot", counted_stream)
         return calls
 
     @pytest.mark.parametrize("gaps", [[1.0], [1.0, 0.5, 0.25, 0.125]], ids=["qubit", "five_levels"])
@@ -243,8 +255,9 @@ class TestSweepEngine:
         # qubit and for a five-level system alike: one bath build, one sorted
         # bath energy array and one sorted bath probability array. The joint
         # energies are one fold of the levels into the bath energies, and
-        # each state (rho, then each point's sigma) adds one fold of its
-        # eigenvalues.
+        # each state (rho, then each point's sigma) streams its eigenvalues'
+        # fold into the bath probabilities through the dot, without a fold
+        # array of its own.
         calls = self._count_joint_builds(monkeypatch)
         config = sigma_sweep_config(4)
         config["system"] = {"gaps": gaps, "state": "plus"}
@@ -256,7 +269,7 @@ class TestSweepEngine:
             "bath array add": 1,
             "bath array multiply": 1,
             "fold add": 1,
-            "fold multiply": 26,
+            "streamed passive": 26,
         }
 
     def test_capped_point_is_marked_and_run_continues(self):
@@ -497,12 +510,11 @@ class TestCliProcess:
 
 class TestMutationSensitivity:
     def test_flipped_passive_sort_breaks_verification(self, monkeypatch):
-        def flipped(probs, energies):
-            # Wrong pairing: ascending with ascending.
-            return float(np.dot(np.sort(probs), np.sort(energies)))
+        def flipped(t, values, energies):
+            # Wrong pairing: ascending probabilities with ascending energies.
+            return compensated_dot(spectra._fold(t, values, np.multiply), energies)
 
-        module = importlib.import_module("ergolock.ergotropy")
-        monkeypatch.setattr(module, "_sorted_passive", flipped)
+        monkeypatch.setattr(spectra, "_passive_dot", flipped)
         summary = run_verification(trials=8, seed=42)
         assert summary["pass"] is False
         by_name = {c["name"]: c for c in summary["checks"]}

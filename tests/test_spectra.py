@@ -2,6 +2,7 @@ import contextlib
 import importlib
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -34,8 +35,8 @@ from ergolock.spectra import (
     expand,
     free_energy,
     gibbs_ensemble,
+    passive_energies,
     sorted_joint,
-    sorted_joints,
     tensor,
 )
 
@@ -439,33 +440,36 @@ class TestParts:
 
 
 class TestSortedJoints:
-    """Several seeds folded into one sorted array of the bath factors."""
+    """Several states folded into one sorted array of the bath factors."""
 
     @pytest.mark.parametrize("parts", [1, 2, 3])
     @settings(max_examples=100, deadline=None)
     @given(inputs=joint_inputs())
     def test_folds_equal_the_sorted_outer_product(self, parts, inputs):
-        # A zero in probs makes a zero eigenvalue, as a pure state has.
+        # A zero in probs makes a zero eigenvalue, as a pure state has. The
+        # joint energies are a fold into the bath's sorted array; the joint
+        # probabilities are streamed into the passive-energy dot.
         probs, energies, factors = inputs
         values = eigens(DensityOperator(np.diag(probs)))
         lex = expand(FactorizedEnsemble(factors))
         with forced_parts(parts):
-            (joint_p,) = sorted_joints([values], [f.probs for f in factors], np.multiply)
-            (joint_e,) = sorted_joints([energies], [f.energies for f in factors], np.add)
+            bath_e = sorted_joint(np.zeros(1), [f.energies for f in factors], np.add)
+            joint_e = spectra._fold(bath_e, energies, np.add)
+            (passive,) = passive_energies([values], energies, FactorizedEnsemble(factors))
         want_p = np.sort(np.multiply.outer(values, lex.probs).ravel())
         want_e = np.sort(np.add.outer(energies, lex.energies).ravel())
-        assert np.array_equal(bits(joint_p), bits(want_p))
         assert np.array_equal(bits(joint_e), bits(want_e))
+        assert passive == compensated_dot(want_p[::-1], want_e)
 
     def test_cap_covers_the_largest_seed_before_the_bath_is_built(self, monkeypatch):
-        factors = [np.array([0.0, 1.0])] * 9
-        seeds = [np.zeros(2), np.zeros(3)]
+        bath = FactorizedEnsemble((SpectralEnsemble([0.5, 0.5], [0.0, 1.0]),) * 9)
+        seeds = [np.array([1.0, 0.0]), np.array([0.5, 0.25, 0.25])]
         with monkeypatch.context() as patch:
             patch.setattr(spectra, "sorted_joint", lambda *args: pytest.fail("bath built"))
             with pytest.raises(SizeCapError) as info:
-                sorted_joints(seeds, factors, np.add, cap=1535)
+                passive_energies(seeds, np.zeros(2), bath, cap=1535)
         assert (info.value.size, info.value.cap) == (1536, 1535)
-        assert [a.size for a in sorted_joints(seeds, factors, np.add, cap=1536)] == [1024, 1536]
+        assert len(passive_energies(seeds, np.zeros(3), bath, cap=1536)) == 2
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 7, 16])
     @pytest.mark.parametrize("n", [1, 7, 14, 20])
@@ -491,3 +495,125 @@ class TestSortedJoints:
             for state in states
         ]
         assert all(abs(g - w) <= 1e-14 for g, w in zip(got, want)), (got, want)
+
+
+@contextlib.contextmanager
+def streamed_sizes(parts: int, chunk: int, block: int = spectra._SUM_BLOCK):
+    """Cut every fold into ``parts`` parts and chunks of about ``chunk``
+    elements, and every sum into blocks of ``block``."""
+    with forced_parts(parts), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectra, "_CHUNK", chunk)
+        patch.setattr(spectra, "_SUM_BLOCK", block)
+        yield
+
+
+def sorted_passive(values: np.ndarray, t: np.ndarray, energies: np.ndarray) -> float:
+    # The reference: the whole joint probability array, sorted and reversed.
+    return compensated_dot(np.sort(np.multiply.outer(values, t), axis=None)[::-1], energies)
+
+
+def joint_arrays(levels, factors):
+    # The bath's sorted probabilities and the sorted joint energies.
+    t = sorted_joint(np.ones(1), [f.probs for f in factors], np.multiply)
+    bath_e = sorted_joint(np.zeros(1), [f.energies for f in factors], np.add)
+    return t, spectra._fold(bath_e, np.asarray(levels, dtype=np.float64), np.add)
+
+
+# Eigenvalues as eigens gives them: exact zeros of either sign, ties, and
+# full mantissas, whose products round differently under another summation
+# order.
+EIGENVALUES = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, -0.0, 1e-300, 0.25, 0.25]),
+        st.floats(min_value=0.01, max_value=1.0),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+class TestStreamedPassive:
+    """The streamed passive energy equals the dot over the whole sorted joint
+    probability array, bit for bit, however it is cut."""
+
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    @settings(max_examples=150, deadline=None)
+    @given(
+        raw=EIGENVALUES,
+        factors=st.lists(gibbs_factors(), min_size=0, max_size=6),
+        chunk=st.integers(min_value=1, max_value=40),
+        block=st.sampled_from([1, 3, 8, 16, 1 << 15]),
+        data=st.data(),
+    )
+    def test_equals_the_sorted_dot(self, parts, raw, factors, chunk, block, data):
+        # A chunk shorter than a block makes blocks that span several chunks;
+        # a part boundary falls wherever the value ranges put it.
+        values = np.asarray(raw) + (0.0 if any(raw) else 1.0)
+        values = np.clip(values / values.sum(), 0.0, 1.0)
+        levels = data.draw(st.lists(LEVELS, min_size=values.size, max_size=values.size))
+        t, energies = joint_arrays(levels, factors)
+        with streamed_sizes(1, spectra._CHUNK, block):
+            want = sorted_passive(values, t, energies)
+            whole = spectra._fold(t, values, np.multiply)
+        with streamed_sizes(parts, chunk, block):
+            assert spectra._passive_dot(t, values, energies) == want
+            # The in-memory fold, cut into the same chunks, is unchanged.
+            assert np.array_equal(bits(spectra._fold(t, values, np.multiply)), bits(whole))
+
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "kind", ["d1", PURE_HAAR, MIXED_TRACE_NORMALIZED, "clipped_zero"]
+    )
+    def test_degenerate_bath_at_the_real_block_size(self, parts, kind):
+        # custom_bath(1.0, [1.0] * 12): 13 distinct bath probabilities with
+        # binomial multiplicities, so chunks end at large tie groups. Sixteen
+        # levels make 2^16 joint elements, two blocks of the real size.
+        bath = bath_ensemble(custom_bath(1.0, [1.0] * 12))
+        if kind == "d1":
+            values = np.ones(1)
+        elif kind == "clipped_zero":
+            # A clipped -1e-17, an exact -0.0 and an exact 0.0.
+            values = eigens(DensityOperator(np.diag([0.5, -1e-17, 0.5, -0.0, 0.0])))
+            assert np.count_nonzero(values) == 2 and np.signbit(values).any()
+        else:
+            values = eigens(random_state(RandomSpec(seed=5, dim=16, kind=kind)))
+        levels = np.linspace(-1.0, 2.0, values.size)
+        t, energies = joint_arrays(levels, bath.factors)
+        want = sorted_passive(values, t, energies)
+        with streamed_sizes(parts, 1000):
+            got = spectra._passive_dot(t, values, energies)
+            pieces, offsets = spectra._chunks(t, values[values != 0], np.multiply, parts)
+        assert got == want
+        if values.size == 16:
+            # Blocks span many chunks, and some part ends inside a block.
+            assert len(pieces) > 3 * energies.size // spectra._SUM_BLOCK
+            # A part's first rank is the fold's size less its first chunk's offset.
+            cuts = [offsets[-1] - offsets[len(pieces) * k // parts] for k in range(1, parts)]
+            assert parts == 1 or any(cut % spectra._SUM_BLOCK for cut in cuts)
+
+    def test_state_phase_holds_no_joint_array(self, plus_state, qubit_h):
+        # An N = 20 qubit report has 2^21 joint elements (16 MiB). While a
+        # state's passive energy is taken, the traced memory rises by less
+        # than a quarter of that: chunk and block buffers only.
+        joint_bytes = 8 << 21
+        rises = []
+        stream = spectra._passive_dot
+
+        def traced(t, values, energies):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            try:
+                return stream(t, values, energies)
+            finally:
+                rises.append(tracemalloc.get_traced_memory()[1] - start)
+
+        bath = skrzypczyk_bath(20, 1.0, 1.0)
+        tracemalloc.start()
+        try:
+            with forced_parts(2, spectra._PARALLEL_MIN), pytest.MonkeyPatch.context() as patch:
+                patch.setattr(spectra, "_passive_dot", traced)
+                bound_report(plus_state, qubit_h, GaussianWeight(0.7), bath)
+        finally:
+            tracemalloc.stop()
+        assert len(rises) == 2
+        assert max(rises) < joint_bytes // 4, rises
