@@ -1,4 +1,4 @@
-"""Passive energy, ergotropy, and passive states.
+"""Passive energy and ergotropy.
 
 The unitary minimization behind passive energy has a closed classical
 solution: pair the state's probabilities sorted descending with the energy
@@ -6,9 +6,9 @@ levels sorted ascending. For a system state times a factorized bath, both
 joint multisets come already ascending from merges of sorted runs
 (:func:`spectra.passive_energies`), so no joint-sized array is ever sorted
 from scratch and no dense joint matrix is touched. The bath's own sorted
-energy and probability arrays are built once per call; states that share a
-bath share one joint energy array, and each streams a merge of its
-eigenvalues into the bath probabilities through the dot, chunk by chunk.
+energy and probability arrays are built once per call, and states that share
+a bath share one walk over the joint energies in rank windows, each pairing
+its joint probabilities, window by window, with them.
 """
 
 from __future__ import annotations
@@ -60,8 +60,8 @@ def _passive_energies(
     bath: FactorizedEnsemble,
     cap: int,
 ) -> list[float]:
-    # Passive energy of each (state x bath), one joint energy array shared
-    # by all and no joint probability array held.
+    # Passive energy of each (state x bath), from one walk over the joint
+    # energies shared by all; no joint array is held.
     if any(system.dim != hamiltonian.dim for system in systems):
         raise ValueError("system state and Hamiltonian dimensions differ")
     return passive_energies([eigens(s) for s in systems], hamiltonian.energies, bath, cap)
@@ -90,9 +90,9 @@ def ergotropy_product(
 ) -> float:
     """Ergotropy of (system state) x (factorized bath) under H_S + H_B.
 
-    Only the flat joint probability and energy arrays are materialized, each
-    built in ascending order by merging sorted runs; the mean energy
-    is taken additively from the system matrix diagonal and the bath factors.
+    The joint probabilities and energies are read in ascending windows of
+    merged sorted runs, and no joint array is held; the mean energy is
+    taken additively from the system matrix diagonal and the bath factors.
     """
     (value,) = shared_bath_ergotropies([system], hamiltonian, bath, cap)
     return value
@@ -106,7 +106,8 @@ def shared_bath_ergotropies(
 ) -> list[float]:
     """:func:`ergotropy_product` of each state with the same bath.
 
-    The states share the joint energy multiset, so it is built once. Each
+    The states share the joint energy multiset, so each window of it is
+    sorted once. Each
     value equals ``ergotropy_product(state, hamiltonian, bath, cap)`` bit
     for bit.
     """
@@ -118,22 +119,6 @@ def shared_bath_ergotropies(
             raise ArithmeticError(f"ergotropy {value:.3e} below the numerical floor")
         values.append(value)
     return values
-
-
-def passive_state(rho: DensityOperator, hamiltonian: DiagonalHamiltonian) -> DensityOperator:
-    """Passive state of ``rho``: eigenvalues assigned descending onto the
-    energy levels ascending, diagonal in the Hamiltonian's basis.
-
-    The energy order uses a stable sort so the output is reproducible under
-    degenerate levels; an already-passive diagonal state maps to itself.
-    """
-    if rho.dim != hamiltonian.dim:
-        raise ValueError("state and Hamiltonian dimensions differ")
-    descending = eigens(rho)
-    order = np.argsort(hamiltonian.energies, kind="stable")
-    out = np.zeros((rho.dim, rho.dim), dtype=np.complex128)
-    out[order, order] = descending
-    return DensityOperator(out)
 
 
 @dataclass(frozen=True)

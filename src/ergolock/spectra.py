@@ -7,9 +7,9 @@ Passive energies need only the two joint multisets, each in ascending order,
 and :func:`sorted_joint` builds those directly: it combines one factor at a
 time into an already sorted array, so every step is a linear merge of sorted
 runs rather than a full sort. :func:`passive_energies` builds the bath's
-arrays once and streams each state's joint probabilities into the dot in
-cache-sized chunks, so no joint probability array is held. A large fold, and
-a large :func:`compensated_dot`, is cut into one part per CPU in the
+two arrays once and walks both joint multisets in rank-aligned, cache-sized
+windows, so no joint-sized array is held. A large fold, the walk, and a
+large :func:`compensated_dot` are cut into one part per CPU in the
 process's affinity mask, with the same result bit for bit. :func:`expand`
 keeps the lexicographic joint order for the dense oracle. Small non-diagonal
 system states are carried as dense matrices (:class:`DensityOperator`).
@@ -22,12 +22,12 @@ from __future__ import annotations
 import math
 import os
 import threading
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, groupby
-from operator import itemgetter
-from typing import Any, Callable, Iterable, Sequence
+from itertools import accumulate, chain
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -148,57 +148,28 @@ def compensated_dot(a: np.ndarray, b: np.ndarray) -> float:
     if a.size <= _SUM_BLOCK:
         return compensated_sum(np.multiply(a, b))
     a, b = a.reshape(-1), np.asarray(b, dtype=np.float64).reshape(-1)
-    blocks = -(-a.size // _SUM_BLOCK)
 
     def span(k: int, parts: int) -> list:
-        share = _share(blocks, k, parts)
+        share = _share(-(-a.size // _SUM_BLOCK), k, parts)
         lo, hi = (min(a.size, i * _SUM_BLOCK) for i in (share.start, share.stop))
-        return _block_sums([(a[lo:hi], b[lo:hi])], lo, a.size)
+        return _block_sums(a[lo:hi], b[lo:hi], hi - lo, a.size, np.empty(_SUM_BLOCK))
 
-    return _fsum_blocks(_run_parts(span, _parts(a.size)), a.size)
-
-
-def _block_sum(products: np.ndarray, n: int) -> float:
-    # compensated_sum's partial for one block of an n-term sum.
-    return math.fsum(products.tolist()) if n <= _SUM_BLOCK else float(products.sum())
+    return math.fsum(chain.from_iterable(_run_parts(span, _parts(a.size))))
 
 
-def _block_sums(pairs: Iterable[tuple[np.ndarray, np.ndarray]], rank: int, n: int) -> list:
-    # (block index, partial) for each block of an n-term dot whose products
-    # a * b arrive in rank order from ``rank`` on, one (a, b) pair at a time.
-    # They are formed in one block buffer, so a block that straddles two
-    # pairs is completed there. A block cut by the first or the last rank
-    # given keeps its products in place of a partial, for _fsum_blocks.
-    buffer, start, items = np.empty(min(n, _SUM_BLOCK)), rank, []
-    for a, b in pairs:
-        i = 0
-        while i < a.size:
-            j = i + min(a.size - i, _SUM_BLOCK - rank % _SUM_BLOCK)
-            np.multiply(a[i:j], b[i:j], out=buffer[rank - start : rank - start + j - i])
-            rank, i = rank + j - i, j
-            if rank % _SUM_BLOCK == 0 or rank == n:
-                products = buffer[: rank - start]
-                whole = start % _SUM_BLOCK == 0
-                value = _block_sum(products, n) if whole else products.copy()
-                items.append((start // _SUM_BLOCK, value))
-                start = rank
-    if rank > start:
-        items.append((start // _SUM_BLOCK, buffer[: rank - start]))
-    return items
-
-
-def _fsum_blocks(parts: list[list], n: int) -> float:
-    # fsum of the block partials of every part, given in rank order. The
-    # pieces of a block cut by part ends are joined; ranks past the last
-    # piece hold zero products (a zero eigenvalue's, never folded).
+def _block_sums(a: np.ndarray, b: np.ndarray, length: int, n: int, buffer: np.ndarray) -> list:
+    # compensated_sum's partials for the blocks of an n-term sum whose terms,
+    # from a block boundary on, are a * b and then zeros up to length. Each
+    # block's products are formed in the block buffer; blocks past the last
+    # of a are left out, their partials being zero.
     partials = []
-    for block, items in groupby(chain.from_iterable(parts), key=itemgetter(0)):
-        values = [value for _, value in items]
-        if not isinstance(values[0], float):
-            zeros = min(_SUM_BLOCK, n - block * _SUM_BLOCK) - sum(v.size for v in values)
-            values = [_block_sum(np.concatenate([*values, np.zeros(zeros)]), n)]
-        partials.append(values[0])
-    return math.fsum(partials)
+    for i in range(0, a.size, _SUM_BLOCK):
+        end, stop = min(i + _SUM_BLOCK, length), min(i + _SUM_BLOCK, a.size)
+        np.multiply(a[i:stop], b[i:stop], out=buffer[: stop - i])
+        buffer[stop - i : end - i] = 0.0
+        products = buffer[: end - i]
+        partials.append(math.fsum(products.tolist()) if n <= _SUM_BLOCK else float(products.sum()))
+    return partials
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -387,22 +358,6 @@ def state_free_energy(
     return energy - temperature * shannon_entropy(eigens(rho))
 
 
-def _as_factors(value: SpectralEnsemble | FactorizedEnsemble) -> tuple[SpectralEnsemble, ...]:
-    if isinstance(value, FactorizedEnsemble):
-        return value.factors
-    if isinstance(value, SpectralEnsemble):
-        return (value,)
-    raise TypeError(f"expected an ensemble, got {type(value).__name__}")
-
-
-def tensor(
-    a: SpectralEnsemble | FactorizedEnsemble,
-    b: SpectralEnsemble | FactorizedEnsemble,
-) -> FactorizedEnsemble:
-    """Tensor product as factor-list concatenation; no expansion happens here."""
-    return FactorizedEnsemble(_as_factors(a) + _as_factors(b))
-
-
 def sorted_joint(
     seed: np.ndarray,
     factors: Sequence[np.ndarray],
@@ -433,12 +388,24 @@ def sorted_joint(
     gives each part (see :func:`_run_parts`) a contiguous run of chunks.
     All copies of a value (a -0.0 and a 0.0 included) fall in one chunk, in
     the order one whole-array stable sort would meet them, so the result is
-    the same array bit for bit, however it is cut.
+    the same array bit for bit, however it is cut. The folds alternate
+    between the result and one scratch buffer, so a chain of any length
+    allocates two arrays.
     """
     _check_cap([len(seed), *map(len, factors)], cap)
     s = np.sort(np.asarray(seed, dtype=np.float64))
+    if not factors:
+        return s
+    # The last fold lands in the result, the one before it in the scratch
+    # buffer, and so on back.
+    size = s.size * math.prod(map(len, factors))
+    out, scratch = np.empty(size), np.empty(size // len(factors[-1]))
+    if len(factors) % 2 == 0:
+        out, scratch = scratch, out
     for f in factors:
-        s = _fold(s, np.asarray(f, dtype=np.float64), combine)
+        f = np.asarray(f, dtype=np.float64)
+        s = _fold(s, f, combine, out[: f.size * s.size])
+        out, scratch = scratch, out
     return s
 
 
@@ -451,58 +418,58 @@ def passive_energies(
     """Passive energy of each state, given by its non-negative eigenvalues,
     with the bath, under the system ``levels`` plus the bath's energies.
 
-    The bath's sorted energy and probability arrays are built once. The
-    joint energies are one fold of the levels into the first; they are held
-    whole. Each state's joint probabilities, one fold of its eigenvalues
-    into the second, are streamed into the dot in chunks
-    (:func:`_passive_dot`) and never held. A product is
-    ``lambda * (b_1 * ... * b_N)``, a joint energy ``h + (e_1 + ... + e_N)``.
-    Every state's full joint size is checked against ``cap`` before
-    anything is built.
+    The bath's sorted energy and probability arrays are built once and held
+    whole; no array of the joint size is built. The joint energies (the levels
+    folded into the first) and each state's joint probabilities (its
+    eigenvalues folded into the second) are read in rank windows of about
+    ``_CHUNK`` ranks that start on ``_SUM_BLOCK`` multiples; each part of
+    :func:`_run_parts` walks a contiguous run of windows. In each window the
+    energies at its ranks are sorted once (:func:`_window`), then each state's
+    probabilities at the mirrored ranks, largest first, in one shared buffer,
+    and the window's block partials are taken from their products. Ranks
+    past a state's nonzero products (a zero eigenvalue's) hold ``+0.0``
+    products in their last block, and later blocks are left out. A product
+    is ``lambda * (b_1 * ... * b_N)``, a joint energy
+    ``h + (e_1 + ... + e_N)``, and the value equals
+    ``compensated_dot(probs[::-1], energies)`` over the whole sorted arrays
+    bit for bit. Every state's full joint size is checked against ``cap``
+    before anything is built.
     """
     _check_cap([max(map(len, [levels, *eigenvalues])), *(f.size for f in bath.factors)], cap)
-    energies = _fold(
-        sorted_joint(np.zeros(1), [f.energies for f in bath.factors], np.add, cap),
-        np.asarray(levels, dtype=np.float64),
-        np.add,
-    )
-    probs = sorted_joint(np.ones(1), [f.probs for f in bath.factors], np.multiply, cap)
-    return [_passive_dot(probs, np.asarray(v, dtype=np.float64), energies) for v in eigenvalues]
-
-
-def _passive_dot(t: np.ndarray, values: np.ndarray, energies: np.ndarray) -> float:
-    # compensated_dot(_fold(t, values, np.multiply)[::-1], energies) bit for
-    # bit, for a non-negative ascending t and non-negative values, without
-    # building the fold. Each part of _run_parts takes a contiguous run of
-    # chunks, highest values first; each chunk is written and sorted in one
-    # reused buffer and paired, reversed, with its rank slice of energies.
-    # Zero values are not folded: their products, all zero, take the last
-    # ranks, which _fsum_blocks keeps in the block layout.
-    folded = values[values != 0]
-    m = folded.size * t.size
-    parts = _parts(m)
-    pieces, offsets = _chunks(t, folded, np.multiply, parts)
+    width = _SUM_BLOCK * max(1, _CHUNK // _SUM_BLOCK)
+    levels = np.asarray(levels, dtype=np.float64)
+    bath_energies = sorted_joint(np.zeros(1), [f.energies for f in bath.factors], np.add, cap)
+    energies = _stream(bath_energies, levels, np.add, width)
+    t = sorted_joint(np.ones(1), [f.probs for f in bath.factors], np.multiply, cap)
+    states = []
+    for values in eigenvalues:
+        values = np.asarray(values, dtype=np.float64)
+        states.append(_stream(t, values[values != 0], np.multiply, width))
+    n = levels.size * t.size
+    windows = -(-n // width)
 
     def part(k: int, parts: int) -> list:
-        chunks = _share(len(pieces), k, parts)[::-1]
-        bounds = [(offsets[c], offsets[c + 1]) for c in chunks]
-        buffer = np.empty(max(hi - lo for lo, hi in bounds))
-        pairs = (
-            (
-                _write_chunk(np.multiply, t, pieces[c], buffer[: hi - lo])[::-1],
-                energies[m - hi : m - lo],
-            )
-            for c, (lo, hi) in zip(chunks, bounds)
-        )
-        return _block_sums(pairs, m - bounds[0][1], energies.size)
+        sums = [[] for _ in states]
+        e_buffer = np.empty(energies.largest)
+        p_buffer = np.empty(max((state.largest for state in states), default=0))
+        block = np.empty(min(n, _SUM_BLOCK))
+        for window in _share(windows, k, parts):
+            lo, hi = window * width, min(n, (window + 1) * width)
+            e = _window(energies, lo, hi, e_buffer)
+            for state, partials in zip(states, sums):
+                m = state.ranks[-1]
+                if m > lo:
+                    p = _window(state, m - min(hi, m), m - lo, p_buffer)
+                    partials += _block_sums(p[::-1], e, hi - lo, n, block)
+        return sums
 
-    return _fsum_blocks(_run_parts(part, parts)[::-1], energies.size)
+    parts = _run_parts(part, min(_parts(n), windows))
+    return [math.fsum(chain.from_iterable(sums)) for sums in zip(*parts)]
 
 
-def _fold(s: np.ndarray, f: np.ndarray, combine: np.ufunc) -> np.ndarray:
+def _fold(s: np.ndarray, f: np.ndarray, combine: np.ufunc, out: np.ndarray) -> np.ndarray:
     # Sorted multiset of combine(c, x) over c in f and x in the sorted s,
-    # each chunk sorted in its own slice of the output.
-    out = np.empty(f.size * s.size)
+    # written into out, each chunk sorted in its own slice of it.
     parts = _parts(out.size)
     pieces, offsets = _chunks(s, f, combine, parts)
 
@@ -527,11 +494,7 @@ def _chunks(
     count = max(parts, -(-size // _CHUNK))
     if count == 1:
         return [[(c, 0, s.size) for c in f.tolist()]], [0, size]
-    # About 16 sample values per chunk, and at least 2^11.
-    stride = max(1, size // max(16 * count, 1 << 11))
-    sample = np.sort(combine.outer(f, s[::stride]), axis=None)
-    pivots = sample[[sample.size * k // count for k in range(1, count)]]
-    lo, hi = _run_pieces(combine, f, s, pivots)
+    lo, hi = _run_pieces(combine, f, s, _pivots(s, f, combine, count))
     values = f.tolist()
     pieces = [
         [(c, a, b) for c, a, b in zip(values, los, his) if b > a]
@@ -540,8 +503,60 @@ def _chunks(
     return pieces, list(accumulate([0, *(hi - lo).sum(axis=1).tolist()]))
 
 
+def _pivots(s: np.ndarray, f: np.ndarray, combine: np.ufunc, count: int) -> np.ndarray:
+    # count - 1 ascending values that cut the fold of f into s into count
+    # value ranges of about equal size, read off a strided sample of about
+    # 16 values per range, and at least 2^11.
+    size = f.size * s.size
+    stride = max(1, size // max(16 * count, 1 << 11))
+    sample = np.sort(combine.outer(f, s[::stride]), axis=None)
+    return sample[sample.size * np.arange(1, count) // count]
+
+
+class _Stream(NamedTuple):
+    # The fold of values into the sorted s, whose runs combine(c, s) all
+    # ascend, planned for reads at any ranks. Row j of cuts holds each run's
+    # first index at or above pivot j, and ranks[j] their sum, the count of
+    # values below that pivot; the first and last pivots stand for -inf and
+    # +inf. A window of width ranks sorts at most largest values.
+    combine: np.ufunc
+    s: np.ndarray
+    values: list
+    cuts: list
+    ranks: list
+    largest: int
+
+
+def _stream(s: np.ndarray, f: np.ndarray, combine: np.ufunc, width: int) -> _Stream:
+    # Pivots from _pivots, 16 per window, cut a fold of more than width
+    # values; _run_pieces counts each run's values below each pivot exactly.
+    size = f.size * s.size
+    if size <= width:
+        return _Stream(combine, s, f.tolist(), [[0] * f.size, [s.size] * f.size], [0, size], size)
+    lo, hi = _run_pieces(combine, f, s, _pivots(s, f, combine, 16 * -(-size // width)))
+    cuts = [*lo.tolist(), hi[-1].tolist()]
+    ranks = [sum(row) for row in cuts]
+    # A window reaches back to a pivot less than one gap below it, and on
+    # to one less than one gap above it.
+    gap = max(b - a for a, b in zip(ranks, ranks[1:]))
+    return _Stream(combine, s, f.tolist(), cuts, ranks, min(size, width + 2 * gap))
+
+
+def _window(stream: _Stream, lo: int, hi: int, buffer: np.ndarray) -> np.ndarray:
+    # The stream's sorted values at ranks lo to hi. Every value between the
+    # last pivot at or below rank lo and the first at or above rank hi is
+    # written into the buffer and sorted, and the ranks are sliced out of
+    # it: the pivots' ranks are exact, so these are the values at those
+    # ranks bit for bit.
+    first, last = bisect_right(stream.ranks, lo) - 1, bisect_left(stream.ranks, hi)
+    start, stop = stream.ranks[first], stream.ranks[last]
+    pieces = zip(stream.values, stream.cuts[first], stream.cuts[last])
+    out = _write_chunk(stream.combine, stream.s, pieces, buffer[: stop - start])
+    return out[lo - start : hi - start]
+
+
 def _write_chunk(
-    combine: np.ufunc, s: np.ndarray, pieces: list[tuple[float, int, int]], out: np.ndarray
+    combine: np.ufunc, s: np.ndarray, pieces: Iterable[tuple[float, int, int]], out: np.ndarray
 ) -> np.ndarray:
     # Writes a chunk's run pieces into out in run order and sorts it stably,
     # so ties keep the order one whole-array stable sort would give them.

@@ -34,9 +34,11 @@ from ergolock import (
 from ergolock.bath import bath_ensemble
 from ergolock.ergotropy import ergotropy_product, passive_energy
 from ergolock.oracle import trial_seed
-from ergolock.spectra import eigens, shannon_entropy, tensor
+from ergolock.spectra import eigens, shannon_entropy
 from ergolock.cli import main
 from ergolock.spectra import SpectralEnsemble, expand
+
+from helpers import tensor
 
 MIXED = "mixed-trace-normalized"
 PURE = "pure-haar"

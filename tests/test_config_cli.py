@@ -17,7 +17,6 @@ from ergolock import (
     spectra,
 )
 from ergolock.config import ConfigError, load_config, parse_config
-from ergolock.spectra import compensated_dot
 from ergolock.verify import run_verification
 from ergolock.cli import CSV_COLUMNS, emit_csv, emit_json, main, run_report, run_sweep
 
@@ -215,12 +214,13 @@ class TestSweepEngine:
     @staticmethod
     def _count_joint_builds(monkeypatch) -> Counter:
         # Counts bath builds, the sorted bath arrays (one sorted_joint call
-        # per combine), the folds made outside those builds (the joint
-        # energies) and the state passives streamed into the dot.
+        # per combine), the folds made outside those builds (none: no joint
+        # array is built) and the joint streams the passive-energy walk
+        # reads: the joint energies and each state's joint probabilities.
         calls = Counter()
         building = []
         build_bath = ergolock.bounds.bath_ensemble
-        build_array, fold, stream = spectra.sorted_joint, spectra._fold, spectra._passive_dot
+        build_array, fold, stream = spectra.sorted_joint, spectra._fold, spectra._stream
 
         def counted_bath(bath):
             calls["bath_ensemble"] += 1
@@ -234,30 +234,30 @@ class TestSweepEngine:
             finally:
                 building.pop()
 
-        def counted_fold(s, f, combine):
+        def counted_fold(s, f, combine, out):
             if not building:
                 calls[f"fold {combine.__name__}"] += 1
-            return fold(s, f, combine)
+            return fold(s, f, combine, out)
 
-        def counted_stream(t, values, energies):
-            calls["streamed passive"] += 1
-            return stream(t, values, energies)
+        def counted_stream(s, f, combine, width):
+            calls[f"stream {combine.__name__}"] += 1
+            return stream(s, f, combine, width)
 
         monkeypatch.setattr(ergolock.bounds, "bath_ensemble", counted_bath)
         monkeypatch.setattr(spectra, "sorted_joint", counted_array)
         monkeypatch.setattr(spectra, "_fold", counted_fold)
-        monkeypatch.setattr(spectra, "_passive_dot", counted_stream)
+        monkeypatch.setattr(spectra, "_stream", counted_stream)
         return calls
 
     @pytest.mark.parametrize("gaps", [[1.0], [1.0, 0.5, 0.25, 0.125]], ids=["qubit", "five_levels"])
     def test_sigma_sweep_builds_the_bath_arrays_once(self, monkeypatch, gaps):
         # The weight-independent work of a sigma sweep is done once, for a
         # qubit and for a five-level system alike: one bath build, one sorted
-        # bath energy array and one sorted bath probability array. The joint
-        # energies are one fold of the levels into the bath energies, and
-        # each state (rho, then each point's sigma) streams its eigenvalues'
-        # fold into the bath probabilities through the dot, without a fold
-        # array of its own.
+        # bath energy array and one sorted bath probability array. One walk
+        # reads the joint energies (the levels folded into the bath energies)
+        # and each state's joint probabilities (rho's, then each point's
+        # sigma's eigenvalues folded into the bath probabilities) in rank
+        # windows, and no joint array is folded whole.
         calls = self._count_joint_builds(monkeypatch)
         config = sigma_sweep_config(4)
         config["system"] = {"gaps": gaps, "state": "plus"}
@@ -268,8 +268,8 @@ class TestSweepEngine:
             "bath_ensemble": 1,
             "bath array add": 1,
             "bath array multiply": 1,
-            "fold add": 1,
-            "streamed passive": 26,
+            "stream add": 1,
+            "stream multiply": 26,
         }
 
     def test_capped_point_is_marked_and_run_continues(self):
@@ -510,11 +510,15 @@ class TestCliProcess:
 
 class TestMutationSensitivity:
     def test_flipped_passive_sort_breaks_verification(self, monkeypatch):
-        def flipped(t, values, energies):
-            # Wrong pairing: ascending probabilities with ascending energies.
-            return compensated_dot(spectra._fold(t, values, np.multiply), energies)
+        window = spectra._window
 
-        monkeypatch.setattr(spectra, "_passive_dot", flipped)
+        def flipped(stream, lo, hi, buffer):
+            # Wrong pairing: each window's probabilities ascending against
+            # its ascending energies.
+            values = window(stream, lo, hi, buffer)
+            return values[::-1] if stream.combine is np.multiply else values
+
+        monkeypatch.setattr(spectra, "_window", flipped)
         summary = run_verification(trials=8, seed=42)
         assert summary["pass"] is False
         by_name = {c["name"]: c for c in summary["checks"]}

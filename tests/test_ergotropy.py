@@ -17,7 +17,6 @@ from ergolock.ergotropy import (
     ergotropy,
     ergotropy_product,
     passive_energy,
-    passive_state,
     theorem2_check,
 )
 from ergolock.oracle import MIXED_TRACE_NORMALIZED, PURE_HAAR
@@ -30,6 +29,8 @@ from ergolock.spectra import (
     shannon_entropy,
     sorted_joint,
 )
+
+from helpers import passive_state
 
 
 # Coherence survival factor of the worked example: exp(-omega^2 / 8 sigma^2)

@@ -28,8 +28,9 @@ from ergolock.spectra import (
     free_energy,
     gibbs_ensemble,
     shannon_entropy,
-    tensor,
 )
+
+from helpers import tensor
 
 finite_energy = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 

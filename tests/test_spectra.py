@@ -37,8 +37,9 @@ from ergolock.spectra import (
     gibbs_ensemble,
     passive_energies,
     sorted_joint,
-    tensor,
 )
+
+from helpers import tensor
 
 
 # ``ergolock.ergotropy`` is the re-exported function, not the submodule.
@@ -447,14 +448,14 @@ class TestSortedJoints:
     @given(inputs=joint_inputs())
     def test_folds_equal_the_sorted_outer_product(self, parts, inputs):
         # A zero in probs makes a zero eigenvalue, as a pure state has. The
-        # joint energies are a fold into the bath's sorted array; the joint
-        # probabilities are streamed into the passive-energy dot.
+        # joint energies, a fold into the bath's sorted array, and the joint
+        # probabilities are both read into the passive-energy dot in windows.
         probs, energies, factors = inputs
         values = eigens(DensityOperator(np.diag(probs)))
         lex = expand(FactorizedEnsemble(factors))
         with forced_parts(parts):
             bath_e = sorted_joint(np.zeros(1), [f.energies for f in factors], np.add)
-            joint_e = spectra._fold(bath_e, energies, np.add)
+            joint_e = sorted_joint(bath_e, [energies], np.add)
             (passive,) = passive_energies([values], energies, FactorizedEnsemble(factors))
         want_p = np.sort(np.multiply.outer(values, lex.probs).ravel())
         want_e = np.sort(np.add.outer(energies, lex.energies).ravel())
@@ -513,10 +514,11 @@ def sorted_passive(values: np.ndarray, t: np.ndarray, energies: np.ndarray) -> f
 
 
 def joint_arrays(levels, factors):
-    # The bath's sorted probabilities and the sorted joint energies.
+    # The bath's sorted probabilities and the sorted joint energies, folded
+    # as h + (e_1 + ... + e_N).
     t = sorted_joint(np.ones(1), [f.probs for f in factors], np.multiply)
     bath_e = sorted_joint(np.zeros(1), [f.energies for f in factors], np.add)
-    return t, spectra._fold(bath_e, np.asarray(levels, dtype=np.float64), np.add)
+    return t, sorted_joint(bath_e, [np.asarray(levels, dtype=np.float64)], np.add)
 
 
 # Eigenvalues as eigens gives them: exact zeros of either sign, ties, and
@@ -533,8 +535,8 @@ EIGENVALUES = st.lists(
 
 
 class TestStreamedPassive:
-    """The streamed passive energy equals the dot over the whole sorted joint
-    probability array, bit for bit, however it is cut."""
+    """The walk's passive energy equals the dot over the whole sorted joint
+    arrays, bit for bit, however the ranks are cut into windows and parts."""
 
     @pytest.mark.parametrize("parts", [1, 2, 3])
     @settings(max_examples=150, deadline=None)
@@ -546,19 +548,19 @@ class TestStreamedPassive:
         data=st.data(),
     )
     def test_equals_the_sorted_dot(self, parts, raw, factors, chunk, block, data):
-        # A chunk shorter than a block makes blocks that span several chunks;
-        # a part boundary falls wherever the value ranges put it.
+        # A window is a whole number of blocks, one block when the chunk is
+        # shorter than one; a part is a run of windows.
         values = np.asarray(raw) + (0.0 if any(raw) else 1.0)
         values = np.clip(values / values.sum(), 0.0, 1.0)
         levels = data.draw(st.lists(LEVELS, min_size=values.size, max_size=values.size))
         t, energies = joint_arrays(levels, factors)
         with streamed_sizes(1, spectra._CHUNK, block):
             want = sorted_passive(values, t, energies)
-            whole = spectra._fold(t, values, np.multiply)
+            whole = sorted_joint(t, [values], np.multiply)
         with streamed_sizes(parts, chunk, block):
-            assert spectra._passive_dot(t, values, energies) == want
-            # The in-memory fold, cut into the same chunks, is unchanged.
-            assert np.array_equal(bits(spectra._fold(t, values, np.multiply)), bits(whole))
+            assert passive_energies([values], levels, FactorizedEnsemble(factors)) == [want]
+            # The in-memory fold, cut into chunks of the same size, is unchanged.
+            assert np.array_equal(bits(sorted_joint(t, [values], np.multiply)), bits(whole))
 
     @pytest.mark.parametrize("parts", [1, 2, 3])
     @pytest.mark.parametrize(
@@ -566,8 +568,9 @@ class TestStreamedPassive:
     )
     def test_degenerate_bath_at_the_real_block_size(self, parts, kind):
         # custom_bath(1.0, [1.0] * 12): 13 distinct bath probabilities with
-        # binomial multiplicities, so chunks end at large tie groups. Sixteen
-        # levels make 2^16 joint elements, two blocks of the real size.
+        # binomial multiplicities, so the pivots fall on large tie groups.
+        # Sixteen levels make 2^16 joint elements, two windows of one block
+        # of the real size.
         bath = bath_ensemble(custom_bath(1.0, [1.0] * 12))
         if kind == "d1":
             values = np.ones(1)
@@ -581,39 +584,103 @@ class TestStreamedPassive:
         t, energies = joint_arrays(levels, bath.factors)
         want = sorted_passive(values, t, energies)
         with streamed_sizes(parts, 1000):
-            got = spectra._passive_dot(t, values, energies)
-            pieces, offsets = spectra._chunks(t, values[values != 0], np.multiply, parts)
-        assert got == want
+            got = passive_energies([values], levels, bath)
+        assert got == [want]
         if values.size == 16:
-            # Blocks span many chunks, and some part ends inside a block.
-            assert len(pieces) > 3 * energies.size // spectra._SUM_BLOCK
-            # A part's first rank is the fold's size less its first chunk's offset.
-            cuts = [offsets[-1] - offsets[len(pieces) * k // parts] for k in range(1, parts)]
-            assert parts == 1 or any(cut % spectra._SUM_BLOCK for cut in cuts)
+            # The boundary of the two windows cuts a tie group of the joint
+            # probabilities.
+            probs = np.sort(np.multiply.outer(values[values != 0], t), axis=None)[::-1]
+            assert energies.size == 2 * spectra._SUM_BLOCK
+            assert probs[spectra._SUM_BLOCK - 1] == probs[spectra._SUM_BLOCK]
 
-    def test_state_phase_holds_no_joint_array(self, plus_state, qubit_h):
-        # An N = 20 qubit report has 2^21 joint elements (16 MiB). While a
-        # state's passive energy is taken, the traced memory rises by less
-        # than a quarter of that: chunk and block buffers only.
-        joint_bytes = 8 << 21
-        rises = []
-        stream = spectra._passive_dot
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    @pytest.mark.parametrize("kind", [PURE_HAAR, MIXED_TRACE_NORMALIZED])
+    def test_window_boundaries_inside_tie_groups(self, parts, kind):
+        # Windows of 2048 ranks on the degenerate bath: most window
+        # boundaries cut a tie group of the joint energies, and most cut one
+        # of the joint probabilities, so a window's sorted values reach past
+        # its ranks on both sides.
+        bath = bath_ensemble(custom_bath(1.0, [1.0] * 12))
+        values = eigens(random_state(RandomSpec(seed=5, dim=16, kind=kind)))
+        levels = np.linspace(-1.0, 2.0, values.size)
+        t, energies = joint_arrays(levels, bath.factors)
+        probs = np.sort(np.multiply.outer(values[values != 0], t), axis=None)[::-1]
+        width = 2048
+        assert sum(energies[r - 1] == energies[r] for r in range(width, energies.size, width)) > 10
+        assert sum(probs[r - 1] == probs[r] for r in range(width, probs.size, width)) > 10
+        with streamed_sizes(parts, width, 512):
+            want = sorted_passive(values, t, energies)
+            assert passive_energies([values], levels, bath) == [want]
 
-        def traced(t, values, energies):
-            start = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            try:
-                return stream(t, values, energies)
-            finally:
-                rises.append(tracemalloc.get_traced_memory()[1] - start)
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    def test_zero_eigenvalues_span_several_windows(self, parts):
+        # Two of five eigenvalues are nonzero: 128 of the 320 joint ranks
+        # hold products, and the +0.0 ranks past them fill twelve windows
+        # of 16 ranks.
+        values = np.array([0.75, 0.25, 0.0, -0.0, 0.0])
+        levels = np.array([0.0, 0.5, 1.0, 1.0, 2.5])
+        bath = bath_ensemble(custom_bath(1.3, [0.4, 0.9, 0.9, 1.7, 2.2, 3.1]))
+        t, energies = joint_arrays(levels, bath.factors)
+        with streamed_sizes(parts, 16, 8):
+            want = sorted_passive(values, t, energies)
+            assert passive_energies([values], levels, bath) == [want]
 
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    def test_negative_levels_give_signed_zero_products(self, parts):
+        # A bath level whose Gibbs population underflows to 0.0 gives zero
+        # joint probabilities; under negative joint energies their products
+        # are -0.0, and whole blocks of them sum to -0.0.
+        bath = FactorizedEnsemble(
+            (gibbs_ensemble(DiagonalHamiltonian([0.0, 800.0]), 1.0),) * 4
+            + (gibbs_ensemble(DiagonalHamiltonian([0.0, 1.0]), 1.0),)
+        )
+        values = np.array([0.6, 0.3, 0.1])
+        levels = np.array([-9000.0, -8000.0, -7000.0])
+        t, energies = joint_arrays(levels, bath.factors)
+        products = np.sort(np.multiply.outer(values, t), axis=None)[::-1] * energies
+        assert np.signbit(products[products == 0.0]).all() and (products == 0.0).sum() >= 8
+        with streamed_sizes(parts, 4, 2):
+            want = sorted_passive(values, t, energies)
+            (got,) = passive_energies([values], levels, bath)
+        assert got.hex() == want.hex()
+
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    def test_one_level(self, parts):
+        # d = 1: the joint arrays are the bath's own.
+        bath = bath_ensemble(custom_bath(0.7, [0.3, 1.1, 1.1, 2.0, 0.5]))
+        t, energies = joint_arrays([0.25], bath.factors)
+        with streamed_sizes(parts, 3, 1):
+            want = sorted_passive(np.ones(1), t, energies)
+            assert passive_energies([np.ones(1)], [0.25], bath) == [want]
+
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    def test_several_states_share_one_walk(self, parts):
+        # Each state's value in one call equals its value alone, and the
+        # reference dot over its whole sorted joint probabilities.
+        bath = bath_ensemble(custom_bath(1.0, [0.5, 1.0, 1.0, 1.5, 2.0, 2.0, 3.0]))
+        levels = np.array([-0.5, 0.0, 0.7, 1.9])
+        states = [
+            np.array([1.0, 0.0, 0.0, 0.0]),
+            np.array([0.4, 0.3, 0.2, 0.1]),
+            np.array([0.5, 0.5, 0.0, 0.0]),
+            eigens(random_state(RandomSpec(seed=3, dim=4, kind=MIXED_TRACE_NORMALIZED))),
+        ]
+        t, energies = joint_arrays(levels, bath.factors)
+        with streamed_sizes(parts, 24, 8):
+            want = [sorted_passive(values, t, energies) for values in states]
+            assert passive_energies(states, levels, bath) == want
+            assert [passive_energies([v], levels, bath)[0] for v in states] == want
+
+    def test_report_holds_no_joint_array(self, plus_state, qubit_h):
+        # An N = 20 qubit report has 2^21 joint elements (16 MiB), and each
+        # of the bath's two sorted arrays takes 8 MiB. A traced peak below
+        # 24 MiB leaves no room for a joint-sized array beside a bath array.
         bath = skrzypczyk_bath(20, 1.0, 1.0)
         tracemalloc.start()
         try:
-            with forced_parts(2, spectra._PARALLEL_MIN), pytest.MonkeyPatch.context() as patch:
-                patch.setattr(spectra, "_passive_dot", traced)
+            with forced_parts(2, spectra._PARALLEL_MIN):
                 bound_report(plus_state, qubit_h, GaussianWeight(0.7), bath)
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(rises) == 2
-        assert max(rises) < joint_bytes // 4, rises
+        assert peak < 24 << 20, peak
