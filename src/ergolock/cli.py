@@ -138,30 +138,24 @@ def _resolve_io(config: ExperimentConfig, args: argparse.Namespace) -> tuple[str
     return path, fmt or "csv"
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_rows(args: argparse.Namespace) -> int:
+    # report and sweep: a report at the cap writes nothing, a sweep writes
+    # every row, capped ones included.
     config = load_config(args.config)
     seed = args.seed if args.seed is not None else config.seed
-    rows = run_sweep(config, threads=args.threads)
+    if args.command == "sweep":
+        rows = run_sweep(config, threads=args.threads)
+    else:
+        rows = [run_report(config)]
+        if rows[0].error:
+            print("size cap exceeded at the requested point", file=sys.stderr)
+            return 3
     path, fmt = _resolve_io(config, args)
     # A set seed promises byte-identical reruns, so timing is not recorded.
     stable = seed is not None
     text = emit_csv(rows, stable) if fmt == "csv" else emit_json(rows, stable)
     _write_output(text, path)
     return 3 if any(row.error for row in rows) else 0
-
-
-def _cmd_report(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    seed = args.seed if args.seed is not None else config.seed
-    row = run_report(config)
-    if row.error:
-        print("size cap exceeded at the requested point", file=sys.stderr)
-        return 3
-    path, fmt = _resolve_io(config, args)
-    stable = seed is not None
-    text = emit_csv([row], stable) if fmt == "csv" else emit_json([row], stable)
-    _write_output(text, path)
-    return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -221,11 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "report":
-            return _cmd_report(args)
-        return _cmd_verify(args)
+        if args.command == "verify":
+            return _cmd_verify(args)
+        return _cmd_rows(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

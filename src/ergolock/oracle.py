@@ -48,21 +48,19 @@ class RandomSpec:
             raise ValueError(f"unknown kind {self.kind!r}")
 
 
-def _rng(spec: RandomSpec) -> np.random.Generator:
-    key = np.array([spec.seed, _KIND_TAGS[spec.kind]], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def keyed_rng(a: int, b: int) -> np.random.Generator:
+    """Philox4x64 generator keyed by the pair of 64-bit words (a, b)."""
+    return np.random.Generator(np.random.Philox(key=np.array([a, b], dtype=np.uint64)))
 
 
 def trial_seed(master_seed: int, trial: int) -> int:
     """Child seed for one trial, derived from (master seed, trial index)."""
-    key = np.array([master_seed, trial], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    return int(gen.integers(0, 1 << 63, dtype=np.uint64))
+    return int(keyed_rng(master_seed, trial).integers(0, 1 << 63, dtype=np.uint64))
 
 
 def random_state(spec: RandomSpec) -> DensityOperator:
     """Haar-random pure state or Ginibre-style mixed state, seed-reproducible."""
-    rng = _rng(spec)
+    rng = keyed_rng(spec.seed, _KIND_TAGS[spec.kind])
     if spec.kind == PURE_HAAR:
         vec = rng.standard_normal(spec.dim) + 1j * rng.standard_normal(spec.dim)
         vec /= np.linalg.norm(vec)
@@ -83,7 +81,7 @@ def random_unitary(spec: RandomSpec) -> np.ndarray:
     phase-fixed, which makes the distribution exactly Haar."""
     if spec.kind != UNITARY_HAAR:
         raise ValueError(f"random_unitary needs kind {UNITARY_HAAR!r}")
-    rng = _rng(spec)
+    rng = keyed_rng(spec.seed, _KIND_TAGS[spec.kind])
     g = rng.standard_normal((spec.dim, spec.dim)) + 1j * rng.standard_normal(
         (spec.dim, spec.dim)
     )

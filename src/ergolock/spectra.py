@@ -8,11 +8,12 @@ and :func:`sorted_joint` builds those directly: it combines one factor at a
 time into an already sorted array, so every step is a linear merge of sorted
 runs rather than a full sort. :func:`passive_energies` builds the bath's
 two arrays once and walks both joint multisets in rank-aligned, cache-sized
-windows, so no joint-sized array is held. A large fold, the walk, and a
-large :func:`compensated_dot` are cut into one part per CPU in the
-process's affinity mask, with the same result bit for bit. :func:`expand`
-keeps the lexicographic joint order for the dense oracle. Small non-diagonal
-system states are carried as dense matrices (:class:`DensityOperator`).
+windows, so no joint-sized array is held. One planner (``_stream``) cuts a
+fold and a walk alike at exact pivot ranks; a large fold and the walk are
+cut into one part per CPU in the process's affinity mask, with the same
+result bit for bit. :func:`expand` keeps the lexicographic joint order for
+the dense oracle. Small non-diagonal system states are carried as dense
+matrices (:class:`DensityOperator`).
 
 Units: hbar = k_B = 1, natural logarithm throughout.
 """
@@ -26,8 +27,8 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
-from typing import Any, Callable, Iterable, NamedTuple, Sequence
+from itertools import chain
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,12 +48,12 @@ _SUM_BLOCK = 1 << 15
 # elements, so a sort's merge buffer stays cache-sized.
 _CHUNK = 1 << 17
 
-# Below this many elements a fold or a dot runs as one part on the caller:
+# Below this many elements a fold or a walk runs as one part on the caller:
 # on a 2-core Xeon guest, 2^18 is the smallest fold that two parts sort
 # faster than one (crossover_fold_ms in BENCH_parallel_fold.json).
 _PARALLEL_MIN = 1 << 18
 
-# Parts per large fold or dot: the CPUs this process may run on.
+# Parts per large fold or walk: the CPUs this process may run on.
 _PARTS = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
@@ -134,27 +135,9 @@ def compensated_sum(values: np.ndarray) -> float:
 
 
 def compensated_dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Dot product accumulated with :func:`compensated_sum` (2^20+ term safe).
-
-    Past one block, the products are formed one ``_SUM_BLOCK`` at a time in
-    a block buffer and summed there, so no product array of the full size
-    is allocated. The blocks are split into contiguous spans, one per part
-    (see :func:`_run_parts`). Each block partial is the same pairwise sum
-    of the same products that :func:`compensated_sum` takes, and the
-    partials reach ``fsum`` in block order, so the value equals
-    ``compensated_sum(np.multiply(a, b))`` bit for bit.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    if a.size <= _SUM_BLOCK:
-        return compensated_sum(np.multiply(a, b))
-    a, b = a.reshape(-1), np.asarray(b, dtype=np.float64).reshape(-1)
-
-    def span(k: int, parts: int) -> list:
-        share = _share(-(-a.size // _SUM_BLOCK), k, parts)
-        lo, hi = (min(a.size, i * _SUM_BLOCK) for i in (share.start, share.stop))
-        return _block_sums(a[lo:hi], b[lo:hi], hi - lo, a.size, np.empty(_SUM_BLOCK))
-
-    return math.fsum(chain.from_iterable(_run_parts(span, _parts(a.size))))
+    """Dot product accumulated with :func:`compensated_sum` (2^20+ term
+    safe): ``compensated_sum(np.multiply(a, b))``."""
+    return compensated_sum(np.multiply(a, b, dtype=np.float64))
 
 
 def _block_sums(a: np.ndarray, b: np.ndarray, length: int, n: int, buffer: np.ndarray) -> list:
@@ -379,12 +362,14 @@ def sorted_joint(
     a -0.0 and a 0.0, which compare equal, may differ). A result larger than
     ``cap`` raises :class:`SizeCapError` before anything is allocated.
 
-    A fold of more than ``_CHUNK`` elements is cut into value-range chunks
-    of about that size, after Odeh et al., "Merge Path", IPDPS Workshops
-    2012. Pivots come from a strided sample; each run is cut at the pivots
-    by bisection, and each chunk's pieces of the runs are written into its
-    own slice of the output, which is sorted there, so a merge buffer is at
-    most about half a chunk. A fold of ``_PARALLEL_MIN`` elements or more
+    A fold of more than ``_CHUNK`` elements is planned by the planner of the
+    passive-energy walk, after Odeh et al., "Merge Path", IPDPS Workshops
+    2012: pivots come from a strided sample, and one bisection finds each
+    pivot's exact rank in every run, rising or falling. Every 16th pivot
+    rank bounds a chunk of about ``_CHUNK`` elements, whose pieces of the
+    runs are written into its own slice of the output and sorted there, so
+    a merge buffer is at most about half a chunk. A fold of
+    ``_PARALLEL_MIN`` elements or more has at least one chunk per part and
     gives each part (see :func:`_run_parts`) a contiguous run of chunks.
     All copies of a value (a -0.0 and a 0.0 included) fall in one chunk, in
     the order one whole-array stable sort would meet them, so the result is
@@ -469,77 +454,56 @@ def passive_energies(
 
 def _fold(s: np.ndarray, f: np.ndarray, combine: np.ufunc, out: np.ndarray) -> np.ndarray:
     # Sorted multiset of combine(c, x) over c in f and x in the sorted s,
-    # written into out, each chunk sorted in its own slice of it.
+    # written into out. Every 16th pivot of the fold's stream bounds a chunk
+    # of about _CHUNK values, at least one per part where the values allow,
+    # and each chunk is written and sorted in its own slice of out: the
+    # pivot ranks are exact.
     parts = _parts(out.size)
-    pieces, offsets = _chunks(s, f, combine, parts)
+    stream = _stream(s, f, combine, min(_CHUNK, -(-out.size // parts)))
+    ranks = stream.ranks
+    if len(ranks) == 2:
+        return _write_chunk(stream, 0, 1, out)
+    chunks = len(ranks) // 16
 
     def part(k: int, parts: int) -> None:
-        for c in _share(len(pieces), k, parts):
-            _write_chunk(combine, s, pieces[c], out[offsets[c] : offsets[c + 1]])
+        for c in _share(chunks, k, parts):
+            a, b = 16 * c, 16 * c + 16
+            _write_chunk(stream, a, b, out[ranks[a] : ranks[b]])
 
-    _run_parts(part, parts)
+    _run_parts(part, min(parts, chunks))
     return out
 
 
-def _chunks(
-    s: np.ndarray, f: np.ndarray, combine: np.ufunc, parts: int
-) -> tuple[list[list[tuple[float, int, int]]], list[int]]:
-    # Cuts the fold of f into the sorted s into value-range chunks of about
-    # _CHUNK elements, at least one per part: pieces[c] lists the (value, lo,
-    # hi) run pieces combine(value, s[lo:hi]) of chunk c in run order, and
-    # offsets[c] is where chunk c starts in the sorted fold. All copies of a
-    # value fall in one chunk, so a tie group larger than a chunk is kept
-    # whole.
-    size = f.size * s.size
-    count = max(parts, -(-size // _CHUNK))
-    if count == 1:
-        return [[(c, 0, s.size) for c in f.tolist()]], [0, size]
-    lo, hi = _run_pieces(combine, f, s, _pivots(s, f, combine, count))
-    values = f.tolist()
-    pieces = [
-        [(c, a, b) for c, a, b in zip(values, los, his) if b > a]
-        for los, his in zip(lo.tolist(), hi.tolist())
-    ]
-    return pieces, list(accumulate([0, *(hi - lo).sum(axis=1).tolist()]))
-
-
-def _pivots(s: np.ndarray, f: np.ndarray, combine: np.ufunc, count: int) -> np.ndarray:
-    # count - 1 ascending values that cut the fold of f into s into count
-    # value ranges of about equal size, read off a strided sample of about
-    # 16 values per range, and at least 2^11.
-    size = f.size * s.size
-    stride = max(1, size // max(16 * count, 1 << 11))
-    sample = np.sort(combine.outer(f, s[::stride]), axis=None)
-    return sample[sample.size * np.arange(1, count) // count]
-
-
 class _Stream(NamedTuple):
-    # The fold of values into the sorted s, whose runs combine(c, s) all
-    # ascend, planned for reads at any ranks. Row j of cuts holds each run's
-    # first index at or above pivot j, and ranks[j] their sum, the count of
-    # values below that pivot; the first and last pivots stand for -inf and
-    # +inf. A window of width ranks sorts at most largest values.
+    # The fold of values into the sorted s, planned for reads at any ranks.
+    # Row j of edges holds each run's edge at pivot j (see _run_pieces), and
+    # ranks[j] the count of values below that pivot; the first and last
+    # pivots stand for -inf and +inf. A window of width ranks sorts at most
+    # largest values.
     combine: np.ufunc
     s: np.ndarray
     values: list
-    cuts: list
+    edges: list
     ranks: list
     largest: int
 
 
 def _stream(s: np.ndarray, f: np.ndarray, combine: np.ufunc, width: int) -> _Stream:
-    # Pivots from _pivots, 16 per window, cut a fold of more than width
-    # values; _run_pieces counts each run's values below each pivot exactly.
+    # A fold of more than width values is cut by 16 pivots per width ranks,
+    # read off a strided sample of about 16 values per pivot gap and at
+    # least 2^11; _run_pieces places each pivot in every run exactly.
     size = f.size * s.size
     if size <= width:
         return _Stream(combine, s, f.tolist(), [[0] * f.size, [s.size] * f.size], [0, size], size)
-    lo, hi = _run_pieces(combine, f, s, _pivots(s, f, combine, 16 * -(-size // width)))
-    cuts = [*lo.tolist(), hi[-1].tolist()]
-    ranks = [sum(row) for row in cuts]
+    count = 16 * -(-size // width)
+    stride = max(1, size // max(16 * count, 1 << 11))
+    sample = np.sort(combine.outer(f, s[::stride]), axis=None)
+    edges = _run_pieces(combine, f, s, sample[sample.size * np.arange(1, count) // count])
+    ranks = np.abs(edges - edges[0]).sum(axis=1).tolist()
     # A window reaches back to a pivot less than one gap below it, and on
     # to one less than one gap above it.
     gap = max(b - a for a, b in zip(ranks, ranks[1:]))
-    return _Stream(combine, s, f.tolist(), cuts, ranks, min(size, width + 2 * gap))
+    return _Stream(combine, s, f.tolist(), edges.tolist(), ranks, min(size, width + 2 * gap))
 
 
 def _window(stream: _Stream, lo: int, hi: int, buffer: np.ndarray) -> np.ndarray:
@@ -549,20 +513,20 @@ def _window(stream: _Stream, lo: int, hi: int, buffer: np.ndarray) -> np.ndarray
     # it: the pivots' ranks are exact, so these are the values at those
     # ranks bit for bit.
     first, last = bisect_right(stream.ranks, lo) - 1, bisect_left(stream.ranks, hi)
-    start, stop = stream.ranks[first], stream.ranks[last]
-    pieces = zip(stream.values, stream.cuts[first], stream.cuts[last])
-    out = _write_chunk(stream.combine, stream.s, pieces, buffer[: stop - start])
+    start = stream.ranks[first]
+    out = _write_chunk(stream, first, last, buffer[: stream.ranks[last] - start])
     return out[lo - start : hi - start]
 
 
-def _write_chunk(
-    combine: np.ufunc, s: np.ndarray, pieces: Iterable[tuple[float, int, int]], out: np.ndarray
-) -> np.ndarray:
-    # Writes a chunk's run pieces into out in run order and sorts it stably,
-    # so ties keep the order one whole-array stable sort would give them.
+def _write_chunk(stream: _Stream, a: int, b: int, out: np.ndarray) -> np.ndarray:
+    # Writes each run's piece between pivots a and b into out in run order
+    # and sorts it stably, so ties keep the order one whole-array stable
+    # sort would give them. A piece runs from the smaller of its two edges
+    # to the larger.
     pos = 0
-    for c, lo, hi in pieces:
-        combine(c, s[lo:hi], out=out[pos : pos + hi - lo])
+    for c, x, y in zip(stream.values, stream.edges[a], stream.edges[b]):
+        lo, hi = (x, y) if x < y else (y, x)
+        stream.combine(c, stream.s[lo:hi], out=out[pos : pos + hi - lo])
         pos += hi - lo
     out.sort(kind="stable")
     return out
@@ -570,11 +534,13 @@ def _write_chunk(
 
 def _run_pieces(
     combine: np.ufunc, f: np.ndarray, s: np.ndarray, pivots: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    # (lo, hi), each indexed [part, run]: the slice of s whose values in the
-    # run combine(f[run], s) fall below the first pivot, between each two, or
-    # from the last one up. A cut is the first index whose value is >= the
-    # pivot in an ascending run, < the pivot in a descending one. One
+) -> np.ndarray:
+    # The edges, indexed [edge, run], that cut each run combine(f[run], s)
+    # at the pivots: row 0 is the run's start, then one row per pivot, then
+    # its end. A cut is the first index whose value is >= the pivot in an
+    # ascending run, < the pivot in a descending one, so an ascending run
+    # goes from 0 up through its edges and a descending one from s.size
+    # down, and |edge - row 0| counts the run's values below the pivot. One
     # branch-free bisection (Khuong and Morin, "Array layouts for
     # comparison-based searching", 2017) finds every run's cuts at once; it
     # evaluates combine at the probed elements only, so no run is built.
@@ -591,11 +557,7 @@ def _run_pieces(
         base = np.where(before_cut(probe), probe, base)
         n -= half
     cuts = base + before_cut(base)
-    # An ascending run's pieces run from 0 up through the cuts, a descending
-    # run's from s.size down, so each piece lies between two adjacent edges.
-    edges = np.hstack([np.where(ascending, 0, s.size), cuts, np.where(ascending, s.size, 0)])
-    first, last = edges[:, :-1], edges[:, 1:]
-    return np.minimum(first, last).T, np.maximum(first, last).T
+    return np.hstack([np.where(ascending, 0, s.size), cuts, np.where(ascending, s.size, 0)]).T
 
 
 def expand(

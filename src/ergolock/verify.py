@@ -28,6 +28,7 @@ from .oracle import (
     RandomSpec,
     dense_ergotropy,
     dense_joint,
+    keyed_rng,
     passivizing_unitary,
     random_state,
     random_unitary,
@@ -47,11 +48,6 @@ CHAIN_TOL = 1e-9
 TIMESTATE_TOL = 1e-10
 ENERGY_TOL = 1e-12
 ENTROPY_TOL = 1e-10
-
-
-def _params_rng(child_seed: int) -> np.random.Generator:
-    key = np.array([child_seed, 0], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _random_system(rng: np.random.Generator, child: int, max_dim: int = 4):
@@ -90,7 +86,7 @@ def _run_check(
     for i in range(trials):
         child = trial_seed(seed, offset + i)
         try:
-            outcome = trial(i, child, _params_rng(child))
+            outcome = trial(i, child, keyed_rng(child, 0))
         except ArithmeticError:
             failures += 1
             continue

@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ergolock import (
@@ -684,3 +684,47 @@ class TestStreamedPassive:
         finally:
             tracemalloc.stop()
         assert peak < 24 << 20, peak
+
+
+# Stream inputs: ties, signed zeros, negative values (a negative factor
+# value makes a descending run) and products that underflow to zero.
+STREAM_VALUES = st.sampled_from(
+    [-3.0, -1.0, -0.0, 0.0, 5e-324, 1e-300, 1e-200, 0.5, 0.5, 1.0, 2.0]
+)
+
+
+class TestStreamWindows:
+    """A stream, planned as a fold plans it, gives the values of the stably
+    sorted fold at any rank range, bit for bit, and so does the fold."""
+
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.lists(STREAM_VALUES, min_size=1, max_size=12),
+        values=st.lists(STREAM_VALUES, min_size=1, max_size=6),
+        combine=st.sampled_from([np.multiply, np.add]),
+        chunk=st.integers(min_value=1, max_value=40),
+        cuts=st.lists(st.tuples(st.integers(0, 100), st.integers(0, 100)), max_size=6),
+    )
+    @example(
+        seed=[-1.0, 0.0, 0.5, 0.5, 2.0], values=[-3.0, 0.5, -1.0], combine=np.multiply,
+        chunk=2, cuts=[(0, 15), (3, 9)],
+    )
+    def test_window_equals_the_sorted_fold(self, parts, seed, values, combine, chunk, cuts):
+        s, f = np.sort(np.array(seed)), np.array(values)
+        # A stable sort meets the ties of the runs combine(c, s) in run order,
+        # as a fold's chunks and a stream's windows do.
+        want = np.sort(combine.outer(f, s), axis=None, kind="stable")
+        size = want.size
+        ranges = [sorted((a % (size + 1), b % (size + 1))) for a, b in cuts]
+        # Ranges that start and end inside a tie group.
+        ties = [r for r in range(1, size) if want[r - 1] == want[r]]
+        for r in ties[:: max(1, len(ties) // 3)]:
+            ranges += [(r, size), (0, r), (r, r + 1), (r - 1, min(size, r + 2))]
+        with streamed_sizes(parts, chunk):
+            stream = spectra._stream(s, f, combine, min(spectra._CHUNK, -(-size // parts)))
+            for lo, hi in ranges:
+                if lo < hi:
+                    got = spectra._window(stream, lo, hi, np.empty(size))
+                    assert np.array_equal(bits(got), bits(want[lo:hi])), (lo, hi)
+            assert np.array_equal(bits(spectra._fold(s, f, combine, np.empty(size))), bits(want))
