@@ -1,11 +1,12 @@
-"""Passive energy and ergotropy.
+"""Passive energy and ergotropy of system states times a factorized bath.
 
 The unitary minimization behind passive energy has a closed classical
 solution: pair the state's probabilities sorted descending with the energy
-levels sorted ascending. For a system state times a factorized bath, both
-joint multisets come already ascending from merges of sorted runs
-(:func:`spectra.passive_energies`), so no joint-sized array is ever sorted
-from scratch and no dense joint matrix is touched. The bath's own sorted
+levels sorted ascending (:func:`oracle.passive_energy` does so for one flat
+ensemble, as a test reference). For a system state times a factorized
+bath, both joint multisets come already ascending from merges of sorted
+runs (:func:`spectra.passive_energies`), so no joint-sized array is ever
+sorted from scratch and no dense joint matrix is touched. The bath's own sorted
 energy and probability arrays are built once per call, and states that share
 a bath share one walk over the joint energies in rank windows, each pairing
 its joint probabilities, window by window, with them.
@@ -16,14 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .spectra import (
     DEFAULT_EXPANSION_CAP,
     DensityOperator,
     DiagonalHamiltonian,
     FactorizedEnsemble,
-    SpectralEnsemble,
     _check_temperature,
     average_energy,
     compensated_dot,
@@ -35,23 +33,6 @@ from .spectra import (
 )
 
 ERGOTROPY_FLOOR = -1e-10
-
-
-def passive_energy(ensemble: SpectralEnsemble) -> float:
-    """Minimal mean energy over all unitary reshufflings of the spectrum.
-
-    Equals the dot product of probabilities sorted descending with energies
-    sorted ascending; ties in either list cannot change the value.
-    """
-    return compensated_dot(np.sort(ensemble.probs)[::-1], np.sort(ensemble.energies))
-
-
-def ergotropy(ensemble: SpectralEnsemble) -> float:
-    """Maximal unitarily extractable energy: average minus passive energy."""
-    value = average_energy(ensemble) - passive_energy(ensemble)
-    if value < ERGOTROPY_FLOOR:
-        raise ArithmeticError(f"ergotropy {value:.3e} below the numerical floor")
-    return value
 
 
 def _passive_energies(

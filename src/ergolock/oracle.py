@@ -14,10 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import BathSpec, bath_ensemble
+from .ergotropy import ERGOTROPY_FLOOR
 from .spectra import (
     DensityOperator,
     DiagonalHamiltonian,
     SizeCapError,
+    SpectralEnsemble,
+    average_energy,
     compensated_dot,
     expand,
 )
@@ -125,6 +128,23 @@ def dense_ergotropy(state: DensityOperator, hamiltonian: DiagonalHamiltonian) ->
     descending = np.linalg.eigvalsh(state.entries)[::-1]
     passive = compensated_dot(descending, np.sort(hamiltonian.energies))
     return mean_energy - passive
+
+
+def passive_energy(ensemble: SpectralEnsemble) -> float:
+    """Minimal mean energy over all unitary reshufflings of the spectrum.
+
+    Equals the dot product of probabilities sorted descending with energies
+    sorted ascending; ties in either list cannot change the value.
+    """
+    return compensated_dot(np.sort(ensemble.probs)[::-1], np.sort(ensemble.energies))
+
+
+def ergotropy(ensemble: SpectralEnsemble) -> float:
+    """Maximal unitarily extractable energy: average minus passive energy."""
+    value = average_energy(ensemble) - passive_energy(ensemble)
+    if value < ERGOTROPY_FLOOR:
+        raise ArithmeticError(f"ergotropy {value:.3e} below the numerical floor")
+    return value
 
 
 def passivizing_unitary(

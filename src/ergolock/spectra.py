@@ -9,9 +9,10 @@ time into an already sorted array, so every step is a linear merge of sorted
 runs rather than a full sort. :func:`passive_energies` builds the bath's
 two arrays once and walks both joint multisets in rank-aligned, cache-sized
 windows, so no joint-sized array is held. One planner (``_stream``) cuts a
-fold and a walk alike at exact pivot ranks; a large fold and the walk are
-cut into one part per CPU in the process's affinity mask, with the same
-result bit for bit. :func:`expand` keeps the lexicographic joint order for
+fold and a walk alike at exact pivot ranks. A large fold is cut into one
+part per CPU in the process's affinity mask, and a large walk into (window,
+state) cells that are shared out over those CPUs, with the same result bit
+for bit. :func:`expand` keeps the lexicographic joint order for
 the dense oracle. Small non-diagonal system states are carried as dense
 matrices (:class:`DensityOperator`).
 
@@ -25,7 +26,7 @@ import os
 import threading
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Any, Callable, NamedTuple, Sequence
@@ -48,9 +49,10 @@ _SUM_BLOCK = 1 << 15
 # elements, so a sort's merge buffer stays cache-sized.
 _CHUNK = 1 << 17
 
-# Below this many elements a fold or a walk runs as one part on the caller:
-# on a 2-core Xeon guest, 2^18 is the smallest fold that two parts sort
-# faster than one (crossover_fold_ms in BENCH_parallel_fold.json).
+# Below this many elements a fold, or this many products (ranks times
+# states) a walk of more than _SUM_BLOCK ranks, runs as one part on the
+# caller: on a 2-core Xeon guest, 2^18 is the smallest fold that two parts
+# sort faster than one (crossover_fold_ms in BENCH_parallel_fold.json).
 _PARALLEL_MIN = 1 << 18
 
 # Parts per large fold or walk: the CPUs this process may run on.
@@ -107,7 +109,8 @@ def _run_parts(task: Callable[[int, int], Any], parts: int) -> list:
     The parts run numpy calls that release the GIL, so they overlap. Pool
     workers never submit to the pool, so a caller that is itself a thread of
     some other pool (a ``cli`` sweep) cannot deadlock it. Every part has
-    finished when this returns or raises.
+    finished when this returns or raises, and an exception of part 0 is
+    raised in preference to one of the other parts'.
     """
     global _executor
     if parts == 1:
@@ -119,8 +122,8 @@ def _run_parts(task: Callable[[int, int], Any], parts: int) -> list:
     try:
         first = task(0, parts)
     finally:
-        rest = [future.result() for future in futures]
-    return [first, *rest]
+        wait(futures)
+    return [first, *(future.result() for future in futures)]
 
 
 def compensated_sum(values: np.ndarray) -> float:
@@ -404,21 +407,27 @@ def passive_energies(
     with the bath, under the system ``levels`` plus the bath's energies.
 
     The bath's sorted energy and probability arrays are built once and held
-    whole; no array of the joint size is built. The joint energies (the levels
-    folded into the first) and each state's joint probabilities (its
+    whole; no array of the joint size is built. The joint energies (the
+    levels folded into the first) and each state's joint probabilities (its
     eigenvalues folded into the second) are read in rank windows of about
-    ``_CHUNK`` ranks that start on ``_SUM_BLOCK`` multiples; each part of
-    :func:`_run_parts` walks a contiguous run of windows. In each window the
-    energies at its ranks are sorted once (:func:`_window`), then each state's
-    probabilities at the mirrored ranks, largest first, in one shared buffer,
-    and the window's block partials are taken from their products. Ranks
-    past a state's nonzero products (a zero eigenvalue's) hold ``+0.0``
-    products in their last block, and later blocks are left out. A product
-    is ``lambda * (b_1 * ... * b_N)``, a joint energy
-    ``h + (e_1 + ... + e_N)``, and the value equals
-    ``compensated_dot(probs[::-1], energies)`` over the whole sorted arrays
-    bit for bit. Every state's full joint size is checked against ``cap``
-    before anything is built.
+    ``_CHUNK`` ranks that start on ``_SUM_BLOCK`` multiples. One cell is one
+    state's dot over one window's ranks: the state's probabilities at the
+    mirrored ranks are sorted, largest first (:func:`_window`), and the
+    block partials are taken from their products with the window's sorted
+    energies. Each part of :func:`_run_parts` takes a contiguous run of the
+    cells in window-major order, so the many states of a
+    ``sigma_over_omega`` sweep on one window still use every CPU (its
+    26-state walk at ``N = 16`` took 28.0 ms as one part and takes 18.3 ms
+    on 2 CPUs, ``BENCH_walk_cells.json``). A part sorts a window's energies
+    once, at its first cell of that window that has products, and a window
+    no state reaches is not sorted. A walk of at most ``_SUM_BLOCK`` ranks,
+    whose sums hold the GIL, runs as one part. Ranks past a state's nonzero
+    products (a zero eigenvalue's) hold ``+0.0`` products in their last
+    block, and later blocks are left out. A product is
+    ``lambda * (b_1 * ... * b_N)``, a joint energy ``h + (e_1 + ... + e_N)``,
+    and the value equals ``compensated_dot(probs[::-1], energies)`` over the
+    whole sorted arrays bit for bit. Every state's full joint size is
+    checked against ``cap`` before anything is built.
     """
     _check_cap([max(map(len, [levels, *eigenvalues])), *(f.size for f in bath.factors)], cap)
     width = _SUM_BLOCK * max(1, _CHUNK // _SUM_BLOCK)
@@ -431,24 +440,29 @@ def passive_energies(
         values = np.asarray(values, dtype=np.float64)
         states.append(_stream(t, values[values != 0], np.multiply, width))
     n = levels.size * t.size
-    windows = -(-n // width)
+    cells = -(-n // width) * len(states)
 
     def part(k: int, parts: int) -> list:
         sums = [[] for _ in states]
         e_buffer = np.empty(energies.largest)
         p_buffer = np.empty(max((state.largest for state in states), default=0))
         block = np.empty(min(n, _SUM_BLOCK))
-        for window in _share(windows, k, parts):
+        sorted_window = None
+        for cell in _share(cells, k, parts):
+            window, i = divmod(cell, len(states))
             lo, hi = window * width, min(n, (window + 1) * width)
-            e = _window(energies, lo, hi, e_buffer)
-            for state, partials in zip(states, sums):
-                m = state.ranks[-1]
-                if m > lo:
-                    p = _window(state, m - min(hi, m), m - lo, p_buffer)
-                    partials += _block_sums(p[::-1], e, hi - lo, n, block)
+            m = states[i].ranks[-1]
+            if m > lo:
+                if sorted_window != window:
+                    e, sorted_window = _window(energies, lo, hi, e_buffer), window
+                p = _window(states[i], m - min(hi, m), m - lo, p_buffer)
+                sums[i] += _block_sums(p[::-1], e, hi - lo, n, block)
         return sums
 
-    parts = _run_parts(part, min(_parts(n), windows))
+    # A walk of at most _SUM_BLOCK ranks sums each cell with math.fsum over
+    # a Python list, which holds the GIL, so it runs as one part.
+    work = n * len(states) if n > _SUM_BLOCK else 0
+    parts = _run_parts(part, max(1, min(_parts(work), cells)))
     return [math.fsum(chain.from_iterable(sums)) for sums in zip(*parts)]
 
 

@@ -32,8 +32,8 @@ from ergolock import (
     theorem1_work,
 )
 from ergolock.bath import bath_ensemble
-from ergolock.ergotropy import ergotropy_product, passive_energy
-from ergolock.oracle import trial_seed
+from ergolock.ergotropy import ergotropy_product
+from ergolock.oracle import passive_energy, trial_seed
 from ergolock.spectra import eigens, shannon_entropy
 from ergolock.cli import main
 from ergolock.spectra import SpectralEnsemble, expand

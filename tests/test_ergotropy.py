@@ -13,13 +13,8 @@ from ergolock import (
     skrzypczyk_bath,
 )
 from ergolock.bath import bath_ensemble
-from ergolock.ergotropy import (
-    ergotropy,
-    ergotropy_product,
-    passive_energy,
-    theorem2_check,
-)
-from ergolock.oracle import MIXED_TRACE_NORMALIZED, PURE_HAAR
+from ergolock.ergotropy import ergotropy_product, theorem2_check
+from ergolock.oracle import MIXED_TRACE_NORMALIZED, PURE_HAAR, ergotropy, passive_energy
 from ergolock.spectra import (
     FactorizedEnsemble,
     SpectralEnsemble,

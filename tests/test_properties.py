@@ -17,7 +17,8 @@ from ergolock import (
     free_energy_bound,
 )
 from ergolock.bath import bath_ensemble
-from ergolock.ergotropy import ergotropy, ergotropy_product, passive_energy
+from ergolock.ergotropy import ergotropy_product
+from ergolock.oracle import ergotropy, passive_energy
 from ergolock.spectra import (
     SpectralEnsemble,
     average_energy,

@@ -2,6 +2,8 @@ import contextlib
 import importlib
 import math
 import sys
+import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -419,6 +421,27 @@ class TestParts:
             cut = bound_report(plus_state, qubit_h, GaussianWeight(0.7), bath)
         assert cut == one
 
+    @pytest.mark.parametrize("caller_fails", [False, True])
+    def test_a_failing_part_waits_for_the_others(self, caller_fails):
+        # Part 1 fails at once while part 2 is still running: the exception
+        # reaches the caller only after part 2 has finished, and the
+        # caller's own exception is the one raised.
+        finished = threading.Event()
+
+        def task(k, parts):
+            if k == 0 and caller_fails:
+                raise RuntimeError("part 0")
+            if k == 1:
+                raise ValueError("part 1")
+            if k == 2:
+                time.sleep(0.2)
+                finished.set()
+
+        raised = RuntimeError if caller_fails else ValueError
+        with forced_parts(3), pytest.raises(raised):
+            spectra._run_parts(task, 3)
+        assert finished.is_set()
+
     def test_concurrent_callers_share_one_pool(self):
         # More callers than cores cut their folds into parts while the shared
         # pool is first created, as the threads of a ``cli --threads`` sweep do.
@@ -524,14 +547,23 @@ def joint_arrays(levels, factors):
 # Eigenvalues as eigens gives them: exact zeros of either sign, ties, and
 # full mantissas, whose products round differently under another summation
 # order.
-EIGENVALUES = st.lists(
-    st.one_of(
-        st.sampled_from([0.0, -0.0, 1e-300, 0.25, 0.25]),
-        st.floats(min_value=0.01, max_value=1.0),
-    ),
-    min_size=1,
-    max_size=5,
+EIGENVALUE = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-300, 0.25, 0.25]),
+    st.floats(min_value=0.01, max_value=1.0),
 )
+EIGENVALUES = st.lists(EIGENVALUE, min_size=1, max_size=5)
+
+
+@st.composite
+def state_spectra(draw, d):
+    # A pure state, or d eigenvalues with exact zeros and ties.
+    if draw(st.booleans()):
+        values = np.zeros(d)
+        values[draw(st.integers(min_value=0, max_value=d - 1))] = 1.0
+        return values
+    raw = np.asarray(draw(st.lists(EIGENVALUE, min_size=d, max_size=d)))
+    values = raw + (0.0 if any(raw) else 1.0)
+    return np.clip(values / values.sum(), 0.0, 1.0)
 
 
 class TestStreamedPassive:
@@ -670,6 +702,81 @@ class TestStreamedPassive:
             want = [sorted_passive(values, t, energies) for values in states]
             assert passive_energies(states, levels, bath) == want
             assert [passive_energies([v], levels, bath)[0] for v in states] == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        d=st.integers(min_value=1, max_value=4),
+        factors=st.lists(gibbs_factors(), min_size=0, max_size=4),
+        windows=st.integers(min_value=1, max_value=4),
+        block=st.sampled_from([1, 2, 3, 8]),
+        parts=st.integers(min_value=1, max_value=5),
+        data=st.data(),
+    )
+    def test_cells_split_across_parts(self, d, factors, windows, block, parts, data):
+        # Up to 4 windows of whole blocks and up to 30 states: with more
+        # parts than windows, one window's states are split between parts.
+        levels = data.draw(st.lists(LEVELS, min_size=d, max_size=d))
+        states = data.draw(st.lists(state_spectra(d), min_size=0, max_size=30))
+        bath = FactorizedEnsemble(factors)
+        t, energies = joint_arrays(levels, factors)
+        chunk = block * -(-energies.size // (windows * block))
+        assert -(-energies.size // chunk) <= windows
+        with streamed_sizes(1, chunk, block):
+            want = [sorted_passive(values, t, energies) for values in states]
+            one = passive_energies(states, levels, bath)
+        with streamed_sizes(parts, chunk, block):
+            cut = passive_energies(states, levels, bath)
+        assert np.array_equal(bits(cut), bits(one))
+        assert np.array_equal(bits(one), bits(want))
+
+    @pytest.mark.parametrize("parts", [2, 3])
+    def test_part_starting_on_a_cell_without_products(self, parts):
+        # Two windows of 8 ranks, cells (0, A), (0, B), (1, A), (1, B): the
+        # last part starts on (1, A), whose 8 products all lie in window 0,
+        # and must still sort window 1's energies for (1, B).
+        bath = bath_ensemble(custom_bath(1.0, [0.5, 1.0, 2.0]))
+        levels = np.array([0.0, 1.0])
+        states = [np.array([1.0, 0.0]), np.array([0.5, 0.5])]
+        t, energies = joint_arrays(levels, bath.factors)
+        assert (t.size, energies.size) == (8, 16)
+        with streamed_sizes(parts, 8, 8):
+            want = [sorted_passive(values, t, energies) for values in states]
+            got = passive_energies(states, levels, bath)
+        assert np.array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    def test_no_states(self, parts):
+        bath = bath_ensemble(custom_bath(1.0, [0.5, 1.0]))
+        with streamed_sizes(parts, 2, 1):
+            assert passive_energies([], [0.0, 1.0], bath) == []
+
+    @pytest.mark.parametrize(
+        "cpus, qubits, count, want", [(2, 16, 26, 2), (1, 16, 26, 1), (2, 16, 1, 1), (2, 14, 26, 1)]
+    )
+    def test_part_count_follows_the_cells(self, cpus, qubits, count, want):
+        # Two levels and 16 bath qubits: 2^17 ranks, one window. Its 26
+        # cells, a sigma sweep's, make 26 * 2^17 products, past the
+        # crossover, so they are split over the CPUs; one state's 2^17
+        # products are not. With 14 qubits the 2^15 ranks are one block,
+        # summed under the GIL, and 26 states stay on one part.
+        bath = bath_ensemble(skrzypczyk_bath(qubits, 1.0, 1.0))
+        levels = np.array([0.0, 1.0])
+        assert levels.size * bath.size <= spectra._CHUNK
+        states = [np.array([p, 1.0 - p]) for p in np.linspace(0.5, 1.0, count)]
+        run_parts, counts = spectra._run_parts, []
+
+        def recording(task, parts):
+            if task.__qualname__.startswith("passive_energies."):
+                counts.append(parts)
+            return run_parts(task, parts)
+
+        with forced_parts(1, spectra._PARALLEL_MIN):
+            one = passive_energies(states, levels, bath)
+        with forced_parts(cpus, spectra._PARALLEL_MIN), pytest.MonkeyPatch.context() as patch:
+            patch.setattr(spectra, "_run_parts", recording)
+            got = passive_energies(states, levels, bath)
+        assert counts == [want]
+        assert np.array_equal(bits(got), bits(one))
 
     def test_report_holds_no_joint_array(self, plus_state, qubit_h):
         # An N = 20 qubit report has 2^21 joint elements (16 MiB), and each
