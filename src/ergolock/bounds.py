@@ -5,13 +5,11 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from .bath import BathSpec, bath_ensemble
+from .bath import BathSpec
 from .ergotropy import ergotropy_product, shared_bath_ergotropies
 from .spectra import (
-    DEFAULT_EXPANSION_CAP,
     DensityOperator,
     DiagonalHamiltonian,
-    _check_cap,
     _check_temperature,
     eigens,
     free_energy,
@@ -63,11 +61,6 @@ def free_energy_bound(
     return state_free_energy(rho, hamiltonian, temperature) - free_energy(thermal, temperature)
 
 
-def _check_bath_cap(hamiltonian: DiagonalHamiltonian, bath: BathSpec) -> None:
-    # Every bath factor has two levels: check the joint size before building the bath.
-    _check_cap([hamiltonian.dim, *[2] * bath.n_qubits], DEFAULT_EXPANSION_CAP)
-
-
 def tight_bound(
     rho: DensityOperator,
     hamiltonian: DiagonalHamiltonian,
@@ -76,9 +69,8 @@ def tight_bound(
 ) -> float:
     """Optimal extractable work: joint ergotropy of the weight-averaged
     system state with the bath. Weight-independent for diagonal states."""
-    _check_bath_cap(hamiltonian, bath)
     sigma = control_marginal(rho, hamiltonian, weight)
-    return ergotropy_product(sigma, hamiltonian, bath_ensemble(bath))
+    return ergotropy_product(sigma, hamiltonian, bath)
 
 
 def locked_energy(
@@ -132,16 +124,15 @@ def bound_reports(
 ) -> list[BoundReport]:
     """Evaluate the full bound chain for each weight on one bath.
 
-    The bath ensemble, the sorted joint energies, the resource ergotropy,
-    the free-energy ceiling and S(rho) are computed once and shared by every
+    The bath's sorted energy array, the resource ergotropy, the
+    free-energy ceiling and S(rho) are computed once and shared by every
     report, so the reports are consistent under floating-point noise by
     construction; each weight adds its averaged state sigma, one streamed
     passive energy and the entropy gap. Each report equals the single-weight
     one bit for bit.
     """
-    _check_bath_cap(hamiltonian, bath)
     states = [rho, *(control_marginal(rho, hamiltonian, weight) for weight in weights)]
-    resource, *tights = shared_bath_ergotropies(states, hamiltonian, bath_ensemble(bath))
+    resource, *tights = shared_bath_ergotropies(states, hamiltonian, bath)
     ceiling = free_energy_bound(rho, hamiltonian, bath.T)
     rho_entropy = _entropy(rho)
     return [

@@ -3,17 +3,17 @@
 A state that is diagonal in a known energy basis is fully described by a
 paired list of (probability, energy): a :class:`SpectralEnsemble`. Product
 states of many such factors are kept factorized (:class:`FactorizedEnsemble`).
-Passive energies need only the two joint multisets, each in ascending order,
-and :func:`sorted_joint` builds those directly: it combines one factor at a
-time into an already sorted array, so every step is a linear merge of sorted
-runs rather than a full sort. :func:`passive_energies` builds the bath's
-two arrays once and walks both joint multisets in rank-aligned, cache-sized
-windows, so no joint-sized array is held. One planner (``_stream``) cuts a
-fold and a walk alike at exact pivot ranks. A large fold is cut into one
-part per CPU in the process's affinity mask, and a large walk into (window,
-state) cells that are shared out over those CPUs, with the same result bit
-for bit. :func:`expand` keeps the lexicographic joint order for
-the dense oracle. Small non-diagonal system states are carried as dense
+Passive energies need only the two joint multisets, each in ascending order.
+:func:`sorted_joint` adds one factor at a time into a sorted array, so every
+step is a linear merge of sorted runs. In a thermal bath a configuration's
+probability depends on its energy alone, so :func:`passive_energies` keys
+both joint streams by one sorted bath energy array and walks them in
+rank-aligned, cache-sized windows: no joint-sized array is held. One planner
+(``_stream``) cuts a fold and a walk alike at exact pivot ranks. A large
+fold is cut into one part per CPU in the process's affinity mask, and a
+large walk into (window, state) cells shared out over those CPUs, with the
+same result bit for bit. :func:`expand` keeps the lexicographic joint order
+for the dense oracle. Small non-diagonal system states are carried as dense
 matrices (:class:`DensityOperator`).
 
 Units: hbar = k_B = 1, natural logarithm throughout.
@@ -143,15 +143,19 @@ def compensated_dot(a: np.ndarray, b: np.ndarray) -> float:
     return compensated_sum(np.multiply(a, b, dtype=np.float64))
 
 
-def _block_sums(a: np.ndarray, b: np.ndarray, length: int, n: int, buffer: np.ndarray) -> list:
+def _block_sums(
+    keys: np.ndarray, e: np.ndarray, rate: float, length: int, n: int, buffer: np.ndarray
+) -> list:
     # compensated_sum's partials for the blocks of an n-term sum whose terms,
-    # from a block boundary on, are a * b and then zeros up to length. Each
-    # block's products are formed in the block buffer; blocks past the last
-    # of a are left out, their partials being zero.
+    # from a block boundary on, are exp(rate * keys) * e and then zeros up to
+    # length, each block formed in the cache-sized buffer. Blocks past the
+    # last key are left out, their partials being zero.
     partials = []
-    for i in range(0, a.size, _SUM_BLOCK):
-        end, stop = min(i + _SUM_BLOCK, length), min(i + _SUM_BLOCK, a.size)
-        np.multiply(a[i:stop], b[i:stop], out=buffer[: stop - i])
+    for i in range(0, keys.size, _SUM_BLOCK):
+        end, stop = min(i + _SUM_BLOCK, length), min(i + _SUM_BLOCK, keys.size)
+        terms = buffer[: stop - i]
+        np.exp(np.multiply(keys[i:stop], rate, out=terms), out=terms)
+        np.multiply(terms, e[i:stop], out=terms)
         buffer[stop - i : end - i] = 0.0
         products = buffer[: end - i]
         partials.append(math.fsum(products.tolist()) if n <= _SUM_BLOCK else float(products.sum()))
@@ -345,40 +349,33 @@ def state_free_energy(
 
 
 def sorted_joint(
-    seed: np.ndarray,
-    factors: Sequence[np.ndarray],
-    combine: np.ufunc,
-    cap: int = DEFAULT_EXPANSION_CAP,
+    seed: np.ndarray, factors: Sequence[np.ndarray], cap: int = DEFAULT_EXPANSION_CAP
 ) -> np.ndarray:
-    """Ascending array of ``combine`` over every choice of one value from
-    the 1-D ``seed`` and one from each 1-D float64 factor: ``np.multiply``
-    gives the joint probabilities, ``np.add`` the joint energies.
+    """Ascending array of the sums of every choice of one value from the 1-D
+    ``seed`` and one from each 1-D float64 factor.
 
     The seed is sorted, then each factor is folded into the sorted array
-    ``s``: for each factor value ``c`` the run ``combine(c, s)`` is sorted,
-    because ``x -> x + c`` is monotone in IEEE-754 and so is ``x -> x * c``
-    (non-increasing for ``c < 0``), and a stable sort (timsort) merges a few
-    such runs in linear time. IEEE ``*`` and ``+`` are commutative, so the
-    values form the same multiset as the lexicographic expansion that
-    :func:`expand` builds with the seed as its first factor, and the result
-    equals ``np.sort`` of that array element for element (only the order of
-    a -0.0 and a 0.0, which compare equal, may differ). A result larger than
-    ``cap`` raises :class:`SizeCapError` before anything is allocated.
+    ``s``: for each factor value ``c`` the run ``c + s`` is sorted, because
+    ``x -> x + c`` is monotone in IEEE-754, and a stable sort (timsort)
+    merges a few such runs in linear time. IEEE ``+`` is commutative, so the
+    result equals ``np.sort`` of the lexicographic expansion that
+    :func:`expand` builds with the seed as its first factor, element for
+    element (only the order of a -0.0 and a 0.0, which compare equal, may
+    differ). A result larger than ``cap`` raises :class:`SizeCapError`
+    before anything is allocated.
 
     A fold of more than ``_CHUNK`` elements is planned by the planner of the
     passive-energy walk, after Odeh et al., "Merge Path", IPDPS Workshops
     2012: pivots come from a strided sample, and one bisection finds each
-    pivot's exact rank in every run, rising or falling. Every 16th pivot
-    rank bounds a chunk of about ``_CHUNK`` elements, whose pieces of the
-    runs are written into its own slice of the output and sorted there, so
-    a merge buffer is at most about half a chunk. A fold of
-    ``_PARALLEL_MIN`` elements or more has at least one chunk per part and
-    gives each part (see :func:`_run_parts`) a contiguous run of chunks.
-    All copies of a value (a -0.0 and a 0.0 included) fall in one chunk, in
-    the order one whole-array stable sort would meet them, so the result is
-    the same array bit for bit, however it is cut. The folds alternate
-    between the result and one scratch buffer, so a chain of any length
-    allocates two arrays.
+    pivot's exact rank in every run. Every 16th pivot rank bounds a chunk of
+    about ``_CHUNK`` elements, whose pieces of the runs are written into its
+    own slice of the output and sorted there, so a merge buffer is at most
+    about half a chunk. A fold of ``_PARALLEL_MIN`` elements or more gives
+    each part (:func:`_run_parts`) a contiguous run of chunks. All copies of
+    a value (a -0.0 and a 0.0 included) fall in one chunk, in the order one
+    whole-array stable sort would meet them, so the result is the same array
+    bit for bit, however it is cut. The folds alternate between the result
+    and one scratch buffer, so a chain of any length allocates two arrays.
     """
     _check_cap([len(seed), *map(len, factors)], cap)
     s = np.sort(np.asarray(seed, dtype=np.float64))
@@ -392,7 +389,7 @@ def sorted_joint(
         out, scratch = scratch, out
     for f in factors:
         f = np.asarray(f, dtype=np.float64)
-        s = _fold(s, f, combine, out[: f.size * s.size])
+        s = _fold(s, f, out[: f.size * s.size])
         out, scratch = scratch, out
     return s
 
@@ -400,52 +397,58 @@ def sorted_joint(
 def passive_energies(
     eigenvalues: Sequence[np.ndarray],
     levels: np.ndarray,
-    bath: FactorizedEnsemble,
+    gaps: np.ndarray,
+    temperature: float,
     cap: int = DEFAULT_EXPANSION_CAP,
 ) -> list[float]:
     """Passive energy of each state, given by its non-negative eigenvalues,
-    with the bath, under the system ``levels`` plus the bath's energies.
+    with the thermal bath of qubits of these ``gaps`` at ``temperature``,
+    under the system ``levels`` plus the bath's energies.
 
-    The bath's sorted energy and probability arrays are built once and held
-    whole; no array of the joint size is built. The joint energies (the
-    levels folded into the first) and each state's joint probabilities (its
-    eigenvalues folded into the second) are read in rank windows of about
-    ``_CHUNK`` ranks that start on ``_SUM_BLOCK`` multiples. One cell is one
-    state's dot over one window's ranks: the state's probabilities at the
-    mirrored ranks are sorted, largest first (:func:`_window`), and the
-    block partials are taken from their products with the window's sorted
-    energies. Each part of :func:`_run_parts` takes a contiguous run of the
-    cells in window-major order, so the many states of a
-    ``sigma_over_omega`` sweep on one window still use every CPU (its
-    26-state walk at ``N = 16`` took 28.0 ms as one part and takes 18.3 ms
-    on 2 CPUs, ``BENCH_walk_cells.json``). A part sorts a window's energies
-    once, at its first cell of that window that has products, and a window
-    no state reaches is not sorted. A walk of at most ``_SUM_BLOCK`` ranks,
-    whose sums hold the GIL, runs as one part. Ranks past a state's nonzero
-    products (a zero eigenvalue's) hold ``+0.0`` products in their last
-    block, and later blocks are left out. A product is
-    ``lambda * (b_1 * ... * b_N)``, a joint energy ``h + (e_1 + ... + e_N)``,
-    and the value equals ``compensated_dot(probs[::-1], energies)`` over the
-    whole sorted arrays bit for bit. Every state's full joint size is
-    checked against ``cap`` before anything is built.
+    A joint probability ``lambda * exp(-E_x / T) / Z`` is ``exp(-key / T)``
+    for the key ``E_x + T (ln Z - ln lambda)``, so the probabilities in
+    descending order are the keys in ascending order. The bath's sorted
+    energy array is built once, and no array of the joint size is built.
+    The joint energies (the levels folded into it) and each state's keys
+    (its nonzero eigenvalues' offsets folded into it) are read in rank
+    windows of about ``_CHUNK`` ranks that start on ``_SUM_BLOCK``
+    multiples. One cell is one state's dot over one window's ranks: its
+    sorted keys (:func:`_window`) become probabilities ``exp(key * -1/T)``
+    block by block, and the block partials are taken from their products
+    with the window's sorted energies. Each part of :func:`_run_parts` takes
+    a contiguous run of cells in window-major order, and sorts a window's
+    energies once, at its first cell of that window with products. A walk of
+    at most ``_SUM_BLOCK`` ranks, whose sums hold the GIL, runs as one part.
+    Ranks past a state's nonzero products (a zero eigenvalue's) hold ``+0.0``
+    products in their last block, and later blocks are left out. The value
+    equals ``compensated_dot`` over the whole sorted arrays, the keys mapped
+    the same way, bit for bit. Every state's full joint size is checked
+    against ``cap`` before anything is built.
     """
-    _check_cap([max(map(len, [levels, *eigenvalues])), *(f.size for f in bath.factors)], cap)
+    _check_cap([max(map(len, [levels, *eigenvalues])), *[2] * len(gaps)], cap)
+    # Every energy and T are scaled by the exact power of two that keeps T
+    # within 2^+-900, so a key's T (ln Z - ln lambda) is finite and normal.
+    exponent = math.frexp(temperature)[1]
+    scale = math.ldexp(1.0, exponent - min(max(exponent, -900), 900))
+    gaps = np.asarray(gaps, dtype=np.float64) / scale
+    levels = np.asarray(levels, dtype=np.float64) / scale
+    temperature /= scale
     width = _SUM_BLOCK * max(1, _CHUNK // _SUM_BLOCK)
-    levels = np.asarray(levels, dtype=np.float64)
-    bath_energies = sorted_joint(np.zeros(1), [f.energies for f in bath.factors], np.add, cap)
-    energies = _stream(bath_energies, levels, np.add, width)
-    t = sorted_joint(np.ones(1), [f.probs for f in bath.factors], np.multiply, cap)
+    bath_energies = sorted_joint(np.zeros(1), [np.array([0.0, g]) for g in gaps], cap)
+    energies = _stream(bath_energies, levels, width)
+    log_z = compensated_sum(np.log1p(np.exp(-gaps / temperature)))
     states = []
     for values in eigenvalues:
         values = np.asarray(values, dtype=np.float64)
-        states.append(_stream(t, values[values != 0], np.multiply, width))
-    n = levels.size * t.size
+        offsets = temperature * (log_z - np.log(values[values != 0]))
+        states.append(_stream(bath_energies, offsets, width))
+    n = levels.size * bath_energies.size
     cells = -(-n // width) * len(states)
 
     def part(k: int, parts: int) -> list:
         sums = [[] for _ in states]
         e_buffer = np.empty(energies.largest)
-        p_buffer = np.empty(max((state.largest for state in states), default=0))
+        k_buffer = np.empty(max((state.largest for state in states), default=0))
         block = np.empty(min(n, _SUM_BLOCK))
         sorted_window = None
         for cell in _share(cells, k, parts):
@@ -455,25 +458,25 @@ def passive_energies(
             if m > lo:
                 if sorted_window != window:
                     e, sorted_window = _window(energies, lo, hi, e_buffer), window
-                p = _window(states[i], m - min(hi, m), m - lo, p_buffer)
-                sums[i] += _block_sums(p[::-1], e, hi - lo, n, block)
+                keys = _window(states[i], lo, min(hi, m), k_buffer)
+                sums[i] += _block_sums(keys, e, -1.0 / temperature, hi - lo, n, block)
         return sums
 
     # A walk of at most _SUM_BLOCK ranks sums each cell with math.fsum over
     # a Python list, which holds the GIL, so it runs as one part.
     work = n * len(states) if n > _SUM_BLOCK else 0
     parts = _run_parts(part, max(1, min(_parts(work), cells)))
-    return [math.fsum(chain.from_iterable(sums)) for sums in zip(*parts)]
+    return [scale * math.fsum(chain.from_iterable(sums)) for sums in zip(*parts)]
 
 
-def _fold(s: np.ndarray, f: np.ndarray, combine: np.ufunc, out: np.ndarray) -> np.ndarray:
-    # Sorted multiset of combine(c, x) over c in f and x in the sorted s,
-    # written into out. Every 16th pivot of the fold's stream bounds a chunk
-    # of about _CHUNK values, at least one per part where the values allow,
-    # and each chunk is written and sorted in its own slice of out: the
-    # pivot ranks are exact.
+def _fold(s: np.ndarray, f: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # Sorted multiset of c + x over c in f and x in the sorted s, written
+    # into out. Every 16th pivot of the fold's stream bounds a chunk of
+    # about _CHUNK values, at least one per part where the values allow, and
+    # each chunk is written and sorted in its own slice of out: the pivot
+    # ranks are exact.
     parts = _parts(out.size)
-    stream = _stream(s, f, combine, min(_CHUNK, -(-out.size // parts)))
+    stream = _stream(s, f, min(_CHUNK, -(-out.size // parts)))
     ranks = stream.ranks
     if len(ranks) == 2:
         return _write_chunk(stream, 0, 1, out)
@@ -489,12 +492,11 @@ def _fold(s: np.ndarray, f: np.ndarray, combine: np.ufunc, out: np.ndarray) -> n
 
 
 class _Stream(NamedTuple):
-    # The fold of values into the sorted s, planned for reads at any ranks.
+    # The sums of values and the sorted s, planned for reads at any ranks.
     # Row j of edges holds each run's edge at pivot j (see _run_pieces), and
-    # ranks[j] the count of values below that pivot; the first and last
+    # ranks[j] the count of sums below that pivot; the first and last
     # pivots stand for -inf and +inf. A window of width ranks sorts at most
     # largest values.
-    combine: np.ufunc
     s: np.ndarray
     values: list
     edges: list
@@ -502,22 +504,22 @@ class _Stream(NamedTuple):
     largest: int
 
 
-def _stream(s: np.ndarray, f: np.ndarray, combine: np.ufunc, width: int) -> _Stream:
+def _stream(s: np.ndarray, f: np.ndarray, width: int) -> _Stream:
     # A fold of more than width values is cut by 16 pivots per width ranks,
     # read off a strided sample of about 16 values per pivot gap and at
     # least 2^11; _run_pieces places each pivot in every run exactly.
     size = f.size * s.size
     if size <= width:
-        return _Stream(combine, s, f.tolist(), [[0] * f.size, [s.size] * f.size], [0, size], size)
+        return _Stream(s, f.tolist(), [[0] * f.size, [s.size] * f.size], [0, size], size)
     count = 16 * -(-size // width)
     stride = max(1, size // max(16 * count, 1 << 11))
-    sample = np.sort(combine.outer(f, s[::stride]), axis=None)
-    edges = _run_pieces(combine, f, s, sample[sample.size * np.arange(1, count) // count])
-    ranks = np.abs(edges - edges[0]).sum(axis=1).tolist()
+    sample = np.sort(np.add.outer(f, s[::stride]), axis=None)
+    edges = _run_pieces(f, s, sample[sample.size * np.arange(1, count) // count])
+    ranks = edges.sum(axis=1).tolist()
     # A window reaches back to a pivot less than one gap below it, and on
     # to one less than one gap above it.
     gap = max(b - a for a, b in zip(ranks, ranks[1:]))
-    return _Stream(combine, s, f.tolist(), edges.tolist(), ranks, min(size, width + 2 * gap))
+    return _Stream(s, f.tolist(), edges.tolist(), ranks, min(size, width + 2 * gap))
 
 
 def _window(stream: _Stream, lo: int, hi: int, buffer: np.ndarray) -> np.ndarray:
@@ -535,43 +537,32 @@ def _window(stream: _Stream, lo: int, hi: int, buffer: np.ndarray) -> np.ndarray
 def _write_chunk(stream: _Stream, a: int, b: int, out: np.ndarray) -> np.ndarray:
     # Writes each run's piece between pivots a and b into out in run order
     # and sorts it stably, so ties keep the order one whole-array stable
-    # sort would give them. A piece runs from the smaller of its two edges
-    # to the larger.
+    # sort would give them.
     pos = 0
-    for c, x, y in zip(stream.values, stream.edges[a], stream.edges[b]):
-        lo, hi = (x, y) if x < y else (y, x)
-        stream.combine(c, stream.s[lo:hi], out=out[pos : pos + hi - lo])
+    for c, lo, hi in zip(stream.values, stream.edges[a], stream.edges[b]):
+        np.add(c, stream.s[lo:hi], out=out[pos : pos + hi - lo])
         pos += hi - lo
     out.sort(kind="stable")
     return out
 
 
-def _run_pieces(
-    combine: np.ufunc, f: np.ndarray, s: np.ndarray, pivots: np.ndarray
-) -> np.ndarray:
-    # The edges, indexed [edge, run], that cut each run combine(f[run], s)
-    # at the pivots: row 0 is the run's start, then one row per pivot, then
-    # its end. A cut is the first index whose value is >= the pivot in an
-    # ascending run, < the pivot in a descending one, so an ascending run
-    # goes from 0 up through its edges and a descending one from s.size
-    # down, and |edge - row 0| counts the run's values below the pivot. One
-    # branch-free bisection (Khuong and Morin, "Array layouts for
-    # comparison-based searching", 2017) finds every run's cuts at once; it
-    # evaluates combine at the probed elements only, so no run is built.
+def _run_pieces(f: np.ndarray, s: np.ndarray, pivots: np.ndarray) -> np.ndarray:
+    # The edges, indexed [edge, run], that cut each run f[run] + s at the
+    # pivots: row 0 is the run's start, then one row per pivot, then its
+    # end. A cut is the first index whose value is >= the pivot, so an edge
+    # counts the run's values below its pivot. One branch-free bisection
+    # (Khuong and Morin, "Array layouts for comparison-based searching",
+    # 2017) finds every run's cuts at once; it evaluates the sums at the
+    # probed elements only, so no run is built.
     runs = f[:, None]
-    ascending = combine(runs, s[0]) <= combine(runs, s[-1])
-
-    def before_cut(i: np.ndarray) -> np.ndarray:
-        return (combine(runs, s[i]) < pivots) == ascending
-
     base, n = np.zeros((f.size, pivots.size), dtype=np.intp), s.size
     while n > 1:
         half = n // 2
         probe = base + half
-        base = np.where(before_cut(probe), probe, base)
+        base = np.where(runs + s[probe] < pivots, probe, base)
         n -= half
-    cuts = base + before_cut(base)
-    return np.hstack([np.where(ascending, 0, s.size), cuts, np.where(ascending, s.size, 0)]).T
+    cuts = base + (runs + s[base] < pivots)
+    return np.pad(cuts, ((0, 0), (1, 1)), constant_values=(0, s.size)).T
 
 
 def expand(

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bath import BathSpec, bath_ensemble, custom_bath, skrzypczyk_bath
+from .bath import BathSpec, custom_bath, skrzypczyk_bath
 from .bounds import free_energy_bound
 from .config import ConfigError, check_seed
 from .ergotropy import ergotropy_product, shared_bath_ergotropies, theorem2_check
@@ -106,7 +106,7 @@ def _run_check(
 
 def _resource_and_tight(rho, hamiltonian, weight, bath: BathSpec) -> list[float]:
     sigma = control_marginal(rho, hamiltonian, weight)
-    return shared_bath_ergotropies([rho, sigma], hamiltonian, bath_ensemble(bath))
+    return shared_bath_ergotropies([rho, sigma], hamiltonian, bath)
 
 
 def _fast_vs_dense(i: int, child: int, rng: np.random.Generator, max_dim: int):
@@ -116,7 +116,7 @@ def _fast_vs_dense(i: int, child: int, rng: np.random.Generator, max_dim: int):
     while rho.dim * 2 ** (max_qubits + 1) <= max_dim:
         max_qubits += 1
     bath = _random_bath(rng, temperature, max_qubits)
-    fast = ergotropy_product(rho, hamiltonian, bath_ensemble(bath))
+    fast = ergotropy_product(rho, hamiltonian, bath)
     joint = dense_joint(rho, hamiltonian, bath)
     violation = abs(fast - dense_ergotropy(joint.state, joint.hamiltonian))
     return violation, violation > EQUIVALENCE_TOL
@@ -156,7 +156,7 @@ def _theorem2(i: int, child: int, rng: np.random.Generator):
     )
     temperature = float(rng.uniform(0.3, 3.0))
     bath = _random_bath(rng, temperature, 2)
-    result = theorem2_check(rho, xi, hamiltonian, bath_ensemble(bath), temperature)
+    result = theorem2_check(rho, xi, hamiltonian, bath, temperature)
     if not result.condition_holds:
         return None  # hypothesis violated: excluded, never asserted
     violation = result.lhs - result.rhs

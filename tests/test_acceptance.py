@@ -113,7 +113,7 @@ def test_criterion_2_oracle_equivalence():
         n_qubits = int(rng.integers(1, max_qubits + 1))
         bath = custom_bath(float(rng.uniform(0.3, 3.0)), rng.uniform(0.2, 2.5, n_qubits))
         assert rho.dim * 2**n_qubits <= 64
-        fast = ergotropy_product(rho, hamiltonian, bath_ensemble(bath))
+        fast = ergotropy_product(rho, hamiltonian, bath)
         joint = dense_joint(rho, hamiltonian, bath)
         worst = max(worst, abs(fast - dense_ergotropy(joint.state, joint.hamiltonian)))
     elapsed = time.perf_counter() - start
@@ -151,11 +151,8 @@ def test_criterion_3_inequality_chain():
             weight = TimeStateWeight(float(rng.uniform(-3.0, 3.0)))
         else:
             weight = EnergyEigenstateWeight()
-        ensemble = bath_ensemble(bath)
-        resource = ergotropy_product(rho, hamiltonian, ensemble)
-        tight = ergotropy_product(
-            control_marginal(rho, hamiltonian, weight), hamiltonian, ensemble
-        )
+        resource = ergotropy_product(rho, hamiltonian, bath)
+        tight = ergotropy_product(control_marginal(rho, hamiltonian, weight), hamiltonian, bath)
         ceiling = free_energy_bound(rho, hamiltonian, temperature)
         locked = resource - tight
         violation = max(-locked, tight - resource, resource - ceiling)
@@ -209,7 +206,7 @@ def test_criterion_5_convergence_to_free_energy_bound(plus_state, qubit_h):
     ceiling = free_energy_bound(plus_state, qubit_h, 1.0)
     gaps = []
     for n in golden["bath_sizes"]:
-        bath = bath_ensemble(skrzypczyk_bath(n, 1.0, 1.0))
+        bath = skrzypczyk_bath(n, 1.0, 1.0)
         gaps.append(ceiling - ergotropy_product(plus_state, qubit_h, bath))
     elapsed = time.perf_counter() - start
 
@@ -242,12 +239,10 @@ def test_criterion_6_ideal_and_dead_weight_limits():
         energies[1:] += 1e-3 * np.arange(1, dim)
         hamiltonian = DiagonalHamiltonian(energies)
         bath = custom_bath(float(rng.uniform(0.3, 3.0)), rng.uniform(0.2, 2.5, 2))
-        ensemble = bath_ensemble(bath)
-
-        resource = ergotropy_product(rho, hamiltonian, ensemble)
+        resource = ergotropy_product(rho, hamiltonian, bath)
         rotated = control_marginal(rho, hamiltonian, TimeStateWeight(float(rng.uniform(-5, 5))))
         worst_locked = max(
-            worst_locked, abs(resource - ergotropy_product(rotated, hamiltonian, ensemble))
+            worst_locked, abs(resource - ergotropy_product(rotated, hamiltonian, bath))
         )
 
         dephased = control_marginal(rho, hamiltonian, EnergyEigenstateWeight())
@@ -276,10 +271,10 @@ def test_criterion_7_locked_energy_non_monotone_in_bath_size():
         sigma_state = control_marginal(plus, hamiltonian, weight)
         locked = []
         for n in range(1, 13):
-            ensemble = bath_ensemble(skrzypczyk_bath(n, temperature, omega))
+            bath = skrzypczyk_bath(n, temperature, omega)
             locked.append(
-                ergotropy_product(plus, hamiltonian, ensemble)
-                - ergotropy_product(sigma_state, hamiltonian, ensemble)
+                ergotropy_product(plus, hamiltonian, bath)
+                - ergotropy_product(sigma_state, hamiltonian, bath)
             )
         diffs = np.diff(locked)
         if (diffs > 1e-9).any() and (diffs < -1e-9).any():

@@ -100,7 +100,7 @@ class TestCustomBath:
 class TestBathScaling:
     def test_ergotropy_nondecreasing_in_bath_size(self, plus_state, qubit_h):
         values = [
-            ergotropy_product(plus_state, qubit_h, bath_ensemble(skrzypczyk_bath(n, 1.0, 1.0)))
+            ergotropy_product(plus_state, qubit_h, skrzypczyk_bath(n, 1.0, 1.0))
             for n in range(1, 13)
         ]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
@@ -108,7 +108,5 @@ class TestBathScaling:
     def test_free_energy_bound_caps_every_size(self, plus_state, qubit_h):
         ceiling = free_energy_bound(plus_state, qubit_h, 1.0)
         for n in (1, 3, 6, 10):
-            value = ergotropy_product(
-                plus_state, qubit_h, bath_ensemble(skrzypczyk_bath(n, 1.0, 1.0))
-            )
+            value = ergotropy_product(plus_state, qubit_h, skrzypczyk_bath(n, 1.0, 1.0))
             assert value <= ceiling + 1e-9

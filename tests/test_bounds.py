@@ -1,3 +1,4 @@
+import importlib
 import math
 from collections import Counter
 
@@ -25,10 +26,13 @@ from ergolock import (
     thermo_limit_locked,
     tight_bound,
 )
-from ergolock.bath import BathSpec, bath_ensemble
+from ergolock.bath import BathSpec
 from ergolock.ergotropy import ergotropy_product, theorem2_check
 from ergolock.spectra import eigens, gibbs_ensemble
 from ergolock.oracle import MIXED_TRACE_NORMALIZED, PURE_HAAR
+
+# ``ergolock.ergotropy`` is the re-exported function, not the submodule.
+ERGOTROPY_MODULE = importlib.import_module("ergolock.ergotropy")
 
 # Frozen from the independent dense brute force of the worked N = 1 point.
 WORKED = {
@@ -234,7 +238,7 @@ class TestBoundReports:
         bath = skrzypczyk_bath(n, 0.8, 1.0) if n else BathSpec(T=0.8, gaps=np.empty(0))
         reports = bound_reports(rho, h, self.WEIGHTS, bath)
         assert len(reports) == len(self.WEIGHTS)
-        resource = ergotropy_product(rho, h, bath_ensemble(bath))
+        resource = ergotropy_product(rho, h, bath)
         ceiling = free_energy_bound(rho, h, bath.T)
         for weight, report in zip(self.WEIGHTS, reports):
             got = report.as_dict()
@@ -274,11 +278,20 @@ class TestProductionScaleInvariants:
             assert abs(got[key] - value) <= 1e-12, key
 
 
+def refuse_bath_builds(monkeypatch) -> None:
+    # Neither the bath's factors nor its sorted energy array may be built.
+    def refuse(*args):
+        raise AssertionError("the bath was built before the size cap")
+
+    monkeypatch.setattr(ERGOTROPY_MODULE, "bath_ensemble", refuse)
+    monkeypatch.setattr(ergolock.spectra, "sorted_joint", refuse)
+
+
 TEMPERATURE_TAKERS = {
     "free_energy_bound": free_energy_bound,
     "thermo_limit_locked": lambda rho, h, t: thermo_limit_locked(rho, h, GaussianWeight(1.0), t),
     "theorem2_check": lambda rho, h, t: theorem2_check(
-        rho, gibbs_state(h, 1.0), h, bath_ensemble(skrzypczyk_bath(1, 1.0, 1.0)), t
+        rho, gibbs_state(h, 1.0), h, skrzypczyk_bath(1, 1.0, 1.0), t
     ),
 }
 
@@ -293,10 +306,7 @@ class TestInputGuards:
     def test_size_cap_is_checked_before_the_bath_is_built(
         self, monkeypatch, plus_state, qubit_h, unit_gaussian
     ):
-        def refuse(bath):
-            raise AssertionError("bath_ensemble ran before the size cap")
-
-        monkeypatch.setattr(ergolock.bounds, "bath_ensemble", refuse)
+        refuse_bath_builds(monkeypatch)
         with pytest.raises(SizeCapError) as info:
             bound_report(plus_state, qubit_h, unit_gaussian, skrzypczyk_bath(100_000, 1.0, 1.0))
         assert info.value.size == 2 * 2**100_000
@@ -309,10 +319,7 @@ class TestInputGuards:
     def test_size_cap_comes_before_any_bath_build(
         self, monkeypatch, plus_state, qubit_h, unit_gaussian, evaluate
     ):
-        def refuse(bath):
-            raise AssertionError("bath_ensemble ran before the size cap")
-
-        monkeypatch.setattr(ergolock.bounds, "bath_ensemble", refuse)
+        refuse_bath_builds(monkeypatch)
         with pytest.raises(SizeCapError) as info:
             evaluate(plus_state, qubit_h, unit_gaussian, skrzypczyk_bath(100_000, 1.0, 1.0))
         assert info.value.size == 2 * 2**100_000
@@ -364,7 +371,7 @@ class TestOneSpectrumPerState:
 
     def test_theorem2_check_diagonalises_nothing(self, counts, plus_state, qubit_h):
         xi = gibbs_state(qubit_h, 1.0)
-        bath = bath_ensemble(skrzypczyk_bath(3, 1.0, 1.0))
+        bath = skrzypczyk_bath(3, 1.0, 1.0)
         counts.clear()
         theorem2_check(plus_state, xi, qubit_h, bath, 1.0)
         assert counts == {}

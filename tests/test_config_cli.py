@@ -1,4 +1,5 @@
 import csv
+import importlib
 import io
 import json
 import math
@@ -6,10 +7,8 @@ import warnings
 from collections import Counter
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-import ergolock.bounds
 from ergolock import (
     GaussianWeight,
     bound_report,
@@ -20,6 +19,9 @@ from ergolock.config import ConfigError, load_config, parse_config
 from ergolock.verify import run_verification
 from ergolock.cli import CSV_COLUMNS, emit_csv, emit_json, main, run_report, run_sweep
 
+
+# ``ergolock.ergotropy`` is the re-exported function, not the submodule.
+ERGOTROPY_MODULE = importlib.import_module("ergolock.ergotropy")
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -213,39 +215,39 @@ class TestSweepEngine:
 
     @staticmethod
     def _count_joint_builds(monkeypatch) -> Counter:
-        # Counts bath builds, the sorted bath arrays (one sorted_joint call
-        # per combine), the folds made outside those builds (none: no joint
-        # array is built) and the joint streams the passive-energy walk
-        # reads: the joint energies and each state's joint probabilities.
-        # A bath build's folds plan their own streams, which are not counted.
+        # Counts bath builds, the sorted bath arrays (sorted_joint calls),
+        # the folds made outside those builds (none: no joint array is
+        # built) and the joint streams the passive-energy walk reads: the
+        # joint energies and each state's keys. A bath build's folds plan
+        # their own streams, which are not counted.
         calls = Counter()
         building = []
-        build_bath = ergolock.bounds.bath_ensemble
+        build_bath = ERGOTROPY_MODULE.bath_ensemble
         build_array, fold, stream = spectra.sorted_joint, spectra._fold, spectra._stream
 
         def counted_bath(bath):
             calls["bath_ensemble"] += 1
             return build_bath(bath)
 
-        def counted_array(seed, factors, combine, cap):
-            calls[f"bath array {combine.__name__}"] += 1
-            building.append(combine)
+        def counted_array(seed, factors, cap):
+            calls["bath array"] += 1
+            building.append(seed)
             try:
-                return build_array(seed, factors, combine, cap)
+                return build_array(seed, factors, cap)
             finally:
                 building.pop()
 
-        def counted_fold(s, f, combine, out):
+        def counted_fold(s, f, out):
             if not building:
-                calls[f"fold {combine.__name__}"] += 1
-            return fold(s, f, combine, out)
+                calls["fold"] += 1
+            return fold(s, f, out)
 
-        def counted_stream(s, f, combine, width):
+        def counted_stream(s, f, width):
             if not building:
-                calls[f"stream {combine.__name__}"] += 1
-            return stream(s, f, combine, width)
+                calls["stream"] += 1
+            return stream(s, f, width)
 
-        monkeypatch.setattr(ergolock.bounds, "bath_ensemble", counted_bath)
+        monkeypatch.setattr(ERGOTROPY_MODULE, "bath_ensemble", counted_bath)
         monkeypatch.setattr(spectra, "sorted_joint", counted_array)
         monkeypatch.setattr(spectra, "_fold", counted_fold)
         monkeypatch.setattr(spectra, "_stream", counted_stream)
@@ -254,25 +256,19 @@ class TestSweepEngine:
     @pytest.mark.parametrize("gaps", [[1.0], [1.0, 0.5, 0.25, 0.125]], ids=["qubit", "five_levels"])
     def test_sigma_sweep_builds_the_bath_arrays_once(self, monkeypatch, gaps):
         # The weight-independent work of a sigma sweep is done once, for a
-        # qubit and for a five-level system alike: one bath build, one sorted
-        # bath energy array and one sorted bath probability array. One walk
-        # reads the joint energies (the levels folded into the bath energies)
-        # and each state's joint probabilities (rho's, then each point's
-        # sigma's eigenvalues folded into the bath probabilities) in rank
-        # windows, and no joint array is folded whole.
+        # qubit and for a five-level system alike: one bath build and one
+        # sorted bath energy array, and no bath probability array. One walk
+        # reads 27 streams off that array in rank windows: the joint energies
+        # (the levels folded into it) and the keys of rho and of each point's
+        # sigma (their eigenvalues' offsets folded into it). No joint array
+        # is folded whole.
         calls = self._count_joint_builds(monkeypatch)
         config = sigma_sweep_config(4)
         config["system"] = {"gaps": gaps, "state": "plus"}
         rows = run_sweep(parse_config(config))
         assert len(rows) == 25
         assert all(row.report is not None for row in rows)
-        assert calls == {
-            "bath_ensemble": 1,
-            "bath array add": 1,
-            "bath array multiply": 1,
-            "stream add": 1,
-            "stream multiply": 26,
-        }
+        assert calls == {"bath_ensemble": 1, "bath array": 1, "stream": 1 + 26}
 
     def test_capped_point_is_marked_and_run_continues(self):
         config = parse_config(base_config(sweep={"parameter": "N", "values": [2, 27]}))
@@ -512,15 +508,14 @@ class TestCliProcess:
 
 class TestMutationSensitivity:
     def test_flipped_passive_sort_breaks_verification(self, monkeypatch):
-        window = spectra._window
+        block_sums = spectra._block_sums
 
-        def flipped(stream, lo, hi, buffer):
-            # Wrong pairing: each window's probabilities ascending against
-            # its ascending energies.
-            values = window(stream, lo, hi, buffer)
-            return values[::-1] if stream.combine is np.multiply else values
+        def reversed_keys(keys, e, rate, length, n, buffer):
+            # Wrong pairing: each window's keys in descending order, so its
+            # probabilities ascend against its ascending energies.
+            return block_sums(keys[::-1], e, rate, length, n, buffer)
 
-        monkeypatch.setattr(spectra, "_window", flipped)
+        monkeypatch.setattr(spectra, "_block_sums", reversed_keys)
         summary = run_verification(trials=8, seed=42)
         assert summary["pass"] is False
         by_name = {c["name"]: c for c in summary["checks"]}

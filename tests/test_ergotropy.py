@@ -8,21 +8,19 @@ from ergolock import (
     DiagonalHamiltonian,
     RandomSpec,
     SizeCapError,
-    custom_bath,
     random_state,
     skrzypczyk_bath,
 )
-from ergolock.bath import bath_ensemble
+from ergolock.bath import BathSpec, bath_ensemble
 from ergolock.ergotropy import ergotropy_product, theorem2_check
 from ergolock.oracle import MIXED_TRACE_NORMALIZED, PURE_HAAR, ergotropy, passive_energy
 from ergolock.spectra import (
-    FactorizedEnsemble,
     SpectralEnsemble,
     eigens,
     entropy,
     gibbs_ensemble,
+    expand,
     shannon_entropy,
-    sorted_joint,
 )
 
 from helpers import passive_state
@@ -79,15 +77,15 @@ class TestErgotropy:
 class TestErgotropyProduct:
     def test_gibbs_system_with_matched_bath_is_passive(self, qubit_h):
         tau = DensityOperator(np.diag(gibbs_ensemble(qubit_h, 1.0).probs).astype(complex))
-        bath = bath_ensemble(skrzypczyk_bath(3, 1.0, 1.0))
+        bath = skrzypczyk_bath(3, 1.0, 1.0)
         assert ergotropy_product(tau, qubit_h, bath) == pytest.approx(0.0, abs=1e-10)
 
     def test_plus_with_unit_bath(self, plus_state, qubit_h, n1_bath):
-        value = ergotropy_product(plus_state, qubit_h, bath_ensemble(n1_bath))
+        value = ergotropy_product(plus_state, qubit_h, n1_bath)
         assert value == pytest.approx(0.5, abs=1e-12)
 
     def test_dephased_plus_with_unit_bath(self, dephased_plus, qubit_h, n1_bath):
-        value = ergotropy_product(dephased_plus, qubit_h, bath_ensemble(n1_bath))
+        value = ergotropy_product(dephased_plus, qubit_h, n1_bath)
         assert value == pytest.approx(0.44125, abs=1e-5)
         # Closed form for this point: half the coherence survival factor.
         assert value == pytest.approx(GAMMA / 2.0, abs=1e-12)
@@ -95,7 +93,7 @@ class TestErgotropyProduct:
     def test_energy_is_additive_not_positional(self, plus_state, qubit_h, n1_bath):
         # E(plus x bath) = 0.5 + E(bath); the arbitrary eigenvalue/energy
         # pairing inside the joint list must never leak into the energy.
-        bath = bath_ensemble(n1_bath)
+        bath = n1_bath
         p_excited = 1.0 / (1.0 + math.e)
         expected_passive = p_excited  # sorted pairing puts 0.2689 at energy 1
         value = ergotropy_product(plus_state, qubit_h, bath)
@@ -103,16 +101,15 @@ class TestErgotropyProduct:
 
     def test_dimension_mismatch(self, plus_state, n1_bath):
         with pytest.raises(ValueError):
-            ergotropy_product(plus_state, DiagonalHamiltonian([0.0, 1.0, 2.0]),
-                              bath_ensemble(n1_bath))
+            ergotropy_product(plus_state, DiagonalHamiltonian([0.0, 1.0, 2.0]), n1_bath)
 
     def test_cap_overflow(self, plus_state, qubit_h):
-        bath = bath_ensemble(skrzypczyk_bath(10, 1.0, 1.0))
+        bath = skrzypczyk_bath(10, 1.0, 1.0)
         with pytest.raises(SizeCapError):
             ergotropy_product(plus_state, qubit_h, bath, cap=1000)
 
     def test_empty_bath(self, plus_state, qubit_h):
-        value = ergotropy_product(plus_state, qubit_h, FactorizedEnsemble(()))
+        value = ergotropy_product(plus_state, qubit_h, BathSpec(T=1.0, gaps=np.empty(0)))
         assert value == pytest.approx(0.5, abs=1e-15)
 
 
@@ -150,7 +147,7 @@ class TestPassiveReferenceSplit:
     def test_ergotropy_splits_against_passive_reference(self, dephased_plus, qubit_h, n1_bath):
         # With xi the passive state of sigma, both joints share a spectrum,
         # so the ergotropy difference is purely the mean-energy difference.
-        bath = bath_ensemble(n1_bath)
+        bath = n1_bath
         xi = passive_state(dephased_plus, qubit_h)
         r_sigma = ergotropy_product(dephased_plus, qubit_h, bath)
         r_xi = ergotropy_product(xi, qubit_h, bath)
@@ -163,7 +160,7 @@ class TestPassiveReferenceSplit:
 
     def test_split_holds_for_random_states(self, qubit_h, n1_bath):
         rng = np.random.default_rng(17)
-        bath = bath_ensemble(n1_bath)
+        bath = n1_bath
         for _ in range(20):
             g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             rho = g @ g.conj().T
@@ -178,28 +175,26 @@ class TestPassiveReferenceSplit:
 class TestTheorem2:
     def test_gibbs_reference_reduces_to_free_energy_bound(self, plus_state, qubit_h, n1_bath):
         tau = DensityOperator(np.diag(gibbs_ensemble(qubit_h, 1.0).probs).astype(complex))
-        result = theorem2_check(plus_state, tau, qubit_h, bath_ensemble(n1_bath), 1.0)
+        result = theorem2_check(plus_state, tau, qubit_h, n1_bath, 1.0)
         assert result.condition_holds
         assert result.lhs == pytest.approx(0.5, abs=1e-12)
         assert result.rhs == pytest.approx(0.81326, abs=1e-5)
         assert result.lhs <= result.rhs + 1e-9
 
     def test_reflexive_pair_is_zero(self, dephased_plus, qubit_h, n1_bath):
-        result = theorem2_check(
-            dephased_plus, dephased_plus, qubit_h, bath_ensemble(n1_bath), 1.0
-        )
+        result = theorem2_check(dephased_plus, dephased_plus, qubit_h, n1_bath, 1.0)
         assert result.condition_holds
         assert result.lhs == pytest.approx(0.0, abs=1e-14)
         assert result.rhs == pytest.approx(0.0, abs=1e-14)
 
     def test_worked_pair_values(self, plus_state, qubit_h, n1_bath):
         tau = DensityOperator(np.diag(gibbs_ensemble(qubit_h, 1.0).probs).astype(complex))
-        result = theorem2_check(plus_state, tau, qubit_h, bath_ensemble(n1_bath), 1.0)
+        result = theorem2_check(plus_state, tau, qubit_h, n1_bath, 1.0)
         assert result.rhs == pytest.approx(0.5 - (-0.31326), abs=1e-5)
 
     def test_rejects_bad_temperature(self, plus_state, qubit_h, n1_bath):
         with pytest.raises(ValueError):
-            theorem2_check(plus_state, plus_state, qubit_h, bath_ensemble(n1_bath), 0.0)
+            theorem2_check(plus_state, plus_state, qubit_h, n1_bath, 0.0)
 
 
 def _random_instance(seed: int, max_qubits: int = 12):
@@ -209,9 +204,7 @@ def _random_instance(seed: int, max_qubits: int = 12):
     rho = random_state(RandomSpec(seed=seed, dim=dim, kind=MIXED_TRACE_NORMALIZED))
     h = DiagonalHamiltonian(rng.uniform(0.0, 2.0, dim))
     n = int(rng.integers(0, max_qubits + 1))
-    if n == 0:
-        return rho, h, FactorizedEnsemble(())
-    return rho, h, bath_ensemble(custom_bath(0.8, rng.uniform(0.2, 2.5, n)))
+    return rho, h, BathSpec(T=0.8, gaps=rng.uniform(0.2, 2.5, n))
 
 
 class TestTheorem2Kernel:
@@ -230,6 +223,7 @@ class TestTheorem2Kernel:
         # is S(rho) plus the entropy of each bath factor.
         for seed in range(200):
             rho, _, bath = _random_instance(seed)
-            additive = shannon_entropy(eigens(rho)) + sum(entropy(f) for f in bath.factors)
-            joint = sorted_joint(eigens(rho), [f.probs for f in bath.factors], np.multiply)
+            ensemble = bath_ensemble(bath)
+            additive = shannon_entropy(eigens(rho)) + sum(entropy(f) for f in ensemble.factors)
+            joint = np.multiply.outer(eigens(rho), expand(ensemble).probs)
             assert abs(additive - shannon_entropy(joint)) <= 1e-12, seed

@@ -14,7 +14,6 @@ from ergolock import (
     random_unitary,
     theorem1_work,
 )
-from ergolock.bath import bath_ensemble
 from ergolock.ergotropy import ergotropy_product
 from ergolock.oracle import trial_seed
 from ergolock.spectra import gibbs_ensemble
@@ -95,7 +94,7 @@ class TestDenseErgotropy:
     def test_matches_fast_path_on_worked_example(self, plus_state, qubit_h, n1_bath):
         joint = dense_joint(plus_state, qubit_h, n1_bath)
         dense = dense_ergotropy(joint.state, joint.hamiltonian)
-        fast = ergotropy_product(plus_state, qubit_h, bath_ensemble(n1_bath))
+        fast = ergotropy_product(plus_state, qubit_h, n1_bath)
         assert dense == pytest.approx(0.5, abs=1e-12)
         assert abs(dense - fast) < 1e-9
 
@@ -113,7 +112,7 @@ class TestDenseErgotropy:
             rho = random_state(RandomSpec(seed=child, dim=dim, kind=MIXED))
             hamiltonian = DiagonalHamiltonian(np.sort(rng.uniform(0, 3, dim)))
             bath = custom_bath(rng.uniform(0.3, 2.0), rng.uniform(0.3, 2.0, 2))
-            fast = ergotropy_product(rho, hamiltonian, bath_ensemble(bath))
+            fast = ergotropy_product(rho, hamiltonian, bath)
             joint = dense_joint(rho, hamiltonian, bath)
             assert abs(fast - dense_ergotropy(joint.state, joint.hamiltonian)) < 1e-9
 

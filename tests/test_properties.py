@@ -16,7 +16,6 @@ from ergolock import (
     custom_bath,
     free_energy_bound,
 )
-from ergolock.bath import bath_ensemble
 from ergolock.ergotropy import ergotropy_product
 from ergolock.oracle import ergotropy, passive_energy
 from ergolock.spectra import (
@@ -123,7 +122,7 @@ def test_passive_energy_depends_only_on_multisets(ensemble, rnd):
 def test_free_energy_bound_caps_product_ergotropy(rho, gap, bath_gaps, temperature):
     hamiltonian = DiagonalHamiltonian([0.0, gap])
     bath = custom_bath(temperature, bath_gaps)
-    resource = ergotropy_product(rho, hamiltonian, bath_ensemble(bath))
+    resource = ergotropy_product(rho, hamiltonian, bath)
     assert resource <= free_energy_bound(rho, hamiltonian, temperature) + 1e-9
 
 

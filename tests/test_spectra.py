@@ -24,7 +24,7 @@ from ergolock import (
     skrzypczyk_bath,
     spectra,
 )
-from ergolock.bath import bath_ensemble
+from ergolock.bath import BathSpec, bath_ensemble
 from ergolock.oracle import MIXED_TRACE_NORMALIZED, PURE_HAAR
 from ergolock.spectra import (
     FactorizedEnsemble,
@@ -275,53 +275,37 @@ def joint_inputs(draw):
     return probs, energies, factors
 
 
-class _RecordingCombine:
-    """A stand-in for ``np.add``/``np.multiply`` that records each use."""
-
-    def __init__(self):
-        self.calls = 0
-
-    def __call__(self, a, b, out=None):
-        self.calls += 1
-        return np.add(a, b, out=out)
-
-    def outer(self, a, b):
-        self.calls += 1
-        return np.add.outer(a, b)
-
-
 class TestSortedJoint:
     @settings(max_examples=200, deadline=None)
     @given(joint_inputs())
     def test_equals_sorted_lexicographic_expansion(self, inputs):
         probs, energies, factors = inputs
         lex = expand(FactorizedEnsemble((SpectralEnsemble(probs, energies), *factors)))
-        p_lex, e_lex = lex.probs, lex.energies
-        p_sorted = sorted_joint(probs, [f.probs for f in factors], np.multiply)
-        e_sorted = sorted_joint(energies, [f.energies for f in factors], np.add)
-        assert np.array_equal(p_sorted, np.sort(p_lex))
-        assert np.array_equal(e_sorted, np.sort(e_lex))
+        e_sorted = sorted_joint(energies, [f.energies for f in factors])
+        assert np.array_equal(e_sorted, np.sort(lex.energies))
 
     def test_empty_factor_list_sorts_the_seed(self):
         seed = np.array([0.5, 0.2, 0.3])
-        out = sorted_joint(seed, [], np.multiply)
+        out = sorted_joint(seed, [])
         assert list(out) == [0.2, 0.3, 0.5]
         assert list(seed) == [0.5, 0.2, 0.3]
 
-    def test_cap_raises_before_combining(self):
-        combine = _RecordingCombine()
+    def test_cap_raises_before_combining(self, monkeypatch):
+        folds, fold = [], spectra._fold
+        monkeypatch.setattr(spectra, "_fold", lambda s, f, out: folds.append(f) or fold(s, f, out))
         factors = [np.array([0.0, 1.0])] * 8
         with pytest.raises(SizeCapError) as info:
-            sorted_joint(np.zeros(2), factors, combine, cap=100)
-        assert combine.calls == 0
+            sorted_joint(np.zeros(2), factors, cap=100)
+        assert folds == []
         assert info.value.cap == 100
-        assert sorted_joint(np.zeros(2), factors, combine, cap=512).size == 512
+        assert sorted_joint(np.zeros(2), factors, cap=512).size == 512
+        assert len(folds) == 8
 
     def test_cap_message_for_a_huge_bath(self):
         # 2^20001 has 6022 decimal digits, more than Python will format.
         factors = [np.array([0.0, 1.0])] * 20000
         with pytest.raises(SizeCapError) as info:
-            sorted_joint(np.zeros(2), factors, _RecordingCombine(), cap=1 << 26)
+            sorted_joint(np.zeros(2), factors, cap=1 << 26)
         assert info.value.size == 1 << 20001
         assert str(info.value) == (
             f"expansion of about 7.96e6020 elements exceeds the cap of {1 << 26}"
@@ -332,7 +316,7 @@ class TestSortedJoint:
         # one; the message still names all 2^28 elements.
         factors = [np.array([0.0, 1.0])] * 27
         with pytest.raises(SizeCapError) as info:
-            sorted_joint(np.zeros(2), factors, _RecordingCombine(), cap=1 << 26)
+            sorted_joint(np.zeros(2), factors, cap=1 << 26)
         assert info.value.size == 1 << 28
         assert str(info.value) == "expansion of 268435456 elements exceeds the cap of 67108864"
 
@@ -360,15 +344,12 @@ class TestParts:
     def test_partitioned_fold_equals_one_part(self, parts, inputs):
         probs, energies, factors = inputs
         lex = expand(FactorizedEnsemble((SpectralEnsemble(probs, energies), *factors)))
-        for seed, values, combine, flat in (
-            (probs, [f.probs for f in factors], np.multiply, lex.probs),
-            (energies, [f.energies for f in factors], np.add, lex.energies),
-        ):
-            one = sorted_joint(seed, values, combine)
-            with forced_parts(parts):
-                cut = sorted_joint(seed, values, combine)
-            assert np.array_equal(bits(cut), bits(one))
-            assert np.array_equal(cut, np.sort(flat))
+        values = [f.energies for f in factors]
+        one = sorted_joint(energies, values)
+        with forced_parts(parts):
+            cut = sorted_joint(energies, values)
+        assert np.array_equal(bits(cut), bits(one))
+        assert np.array_equal(cut, np.sort(lex.energies))
 
     @pytest.mark.parametrize("parts", [2, 3, 5])
     @pytest.mark.parametrize(
@@ -380,22 +361,20 @@ class TestParts:
             ([0.0, 0.0, 0.0, 1.0], [[0.0, 1.0], [0.0, 0.0, 1.0]]),
             # Mostly ones: the pivots sit on the maximum.
             ([1.0, 1.0, 1.0, 0.5], [[1.0, 1.0, 1.0], [1.0, 0.25]]),
-            # Signed zeros and values that underflow when multiplied.
+            # Signed zeros and subnormal values.
             ([-0.0, 0.0, 5e-324, 1e-200], [[0.0, -0.0, 1e-200], [1.0, 1e-300]]),
-            # A negative factor value makes a descending run.
+            # Negative factor values.
             ([-2.0, -1.0, 0.0, 3.0], [[-1e-13, 0.5, 2.0], [1.0, -3.0]]),
-            # A many-valued factor: one fold cuts 41 runs, rising, falling
-            # and constant, at once.
+            # A many-valued factor: one fold cuts 41 runs at once.
             ([0.5, 0.5, -1.0, 2.0], [[*np.linspace(-3.0, 3.0, 40), 0.0], [1.0, 0.0]]),
         ],
     )
     def test_partitioned_fold_on_ties_and_extremes(self, parts, seed, factors):
-        for combine in (np.multiply, np.add):
-            one = sorted_joint(np.array(seed), [np.array(f) for f in factors], combine)
-            with forced_parts(parts):
-                cut = sorted_joint(np.array(seed), [np.array(f) for f in factors], combine)
-            assert np.array_equal(bits(cut), bits(one))
-            assert np.all(cut[:-1] <= cut[1:])
+        one = sorted_joint(np.array(seed), [np.array(f) for f in factors])
+        with forced_parts(parts):
+            cut = sorted_joint(np.array(seed), [np.array(f) for f in factors])
+        assert np.array_equal(bits(cut), bits(one))
+        assert np.all(cut[:-1] <= cut[1:])
 
     @pytest.mark.parametrize("parts", [1, 2, 3])
     @pytest.mark.parametrize("offset", [-1, 0, 1, 2 * spectra._SUM_BLOCK + 7])
@@ -445,17 +424,16 @@ class TestParts:
     def test_concurrent_callers_share_one_pool(self):
         # More callers than cores cut their folds into parts while the shared
         # pool is first created, as the threads of a ``cli --threads`` sweep do.
-        factors = [f.probs for f in bath_ensemble(skrzypczyk_bath(12, 1.0, 1.0)).factors]
-        seed = np.array([0.75, 0.25])
-        want = sorted_joint(seed, factors, np.multiply)
+        factors = [f.energies for f in bath_ensemble(skrzypczyk_bath(12, 1.0, 1.0)).factors]
+        seed = np.array([0.0, 1.0])
+        want = sorted_joint(seed, factors)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with forced_parts(3), pytest.MonkeyPatch.context() as patch:
                 patch.setattr(spectra, "_executor", None)
                 with ThreadPoolExecutor(max_workers=6) as callers:
-                    futures = [callers.submit(sorted_joint, seed, factors, np.multiply)
-                               for _ in range(12)]
+                    futures = [callers.submit(sorted_joint, seed, factors) for _ in range(12)]
                     results = [future.result(timeout=60) for future in futures]
                 spectra._executor.shutdown()
         finally:
@@ -463,62 +441,142 @@ class TestParts:
         assert all(np.array_equal(bits(r), bits(want)) for r in results)
 
 
+# Bath gaps with repeats, whose sums tie, and one large enough that its
+# Gibbs population exp(-800 / T) underflows to exactly 0.0 for T <= 1.
+GAPS = st.sampled_from([0.5, 1.0, 1.0, 2.5, 800.0])
+
+
+@st.composite
+def gibbs_baths(draw, max_qubits: int):
+    gaps = draw(st.lists(GAPS, max_size=max_qubits))
+    return BathSpec(T=draw(st.sampled_from([0.3, 1.0, 4.0])), gaps=np.array(gaps))
+
+
+def bath_energies(bath: BathSpec) -> np.ndarray:
+    return sorted_joint(np.zeros(1), [np.array([0.0, g]) for g in bath.gaps])
+
+
+def joint_energies(levels, bath: BathSpec) -> np.ndarray:
+    # The sorted joint energies, folded as h + (e_1 + ... + e_N).
+    return sorted_joint(bath_energies(bath), [np.asarray(levels, dtype=np.float64)])
+
+
+def key_offsets(values, bath: BathSpec) -> np.ndarray:
+    # T (ln Z - ln lambda) of each nonzero eigenvalue; ln Z is the sum of
+    # log1p(exp(-g / T)) over the gaps.
+    values = np.asarray(values, dtype=np.float64)
+    log_z = compensated_sum(np.log1p(np.exp(-bath.gaps / bath.T)))
+    return bath.T * (log_z - np.log(values[values != 0]))
+
+
+def joint_keys(values, bath: BathSpec) -> np.ndarray:
+    # The sorted keys E_x + T (ln Z - ln lambda) of the nonzero eigenvalues.
+    return sorted_joint(bath_energies(bath), [key_offsets(values, bath)])
+
+
+def keyed_passive(values, levels, bath: BathSpec) -> float:
+    # The reference: the whole sorted key array mapped to probabilities
+    # exp(-key / T), formed as exp(key * (-1 / T)), then zeros for the zero
+    # eigenvalues, dotted with the whole sorted joint energy array.
+    energies, keys = joint_energies(levels, bath), joint_keys(values, bath)
+    probs = np.zeros(energies.size)
+    probs[: keys.size] = np.exp(np.multiply(keys, -1.0 / bath.T))
+    return compensated_dot(probs, energies)
+
+
+def product_chain(values, bath: BathSpec) -> np.ndarray:
+    # The joint probabilities ((lambda * b_1) * ...) * b_N, ascending.
+    probs = np.asarray(values, dtype=np.float64)
+    for factor in bath_ensemble(bath).factors:
+        probs = np.multiply.outer(probs, factor.probs).ravel()
+    probs.sort()
+    return probs
+
+
+@st.composite
+def walk_inputs(draw):
+    # A state's eigenvalues (a zero among them, as a pure state has), its
+    # levels and a bath.
+    d = draw(st.integers(min_value=1, max_value=4))
+    raw = draw(st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.25, 1.0]), min_size=d, max_size=d))
+    probs = np.asarray(raw) + (1.0 if not any(raw) else 0.0)
+    values = eigens(DensityOperator(np.diag(probs / probs.sum())))
+    levels = np.asarray(draw(st.lists(LEVELS, min_size=d, max_size=d)))
+    return values, levels, draw(gibbs_baths(8))
+
+
 class TestSortedJoints:
-    """Several states folded into one sorted array of the bath factors."""
+    """Several states keyed into one sorted bath energy array."""
 
     @pytest.mark.parametrize("parts", [1, 2, 3])
     @settings(max_examples=100, deadline=None)
-    @given(inputs=joint_inputs())
+    @given(inputs=walk_inputs())
     def test_folds_equal_the_sorted_outer_product(self, parts, inputs):
-        # A zero in probs makes a zero eigenvalue, as a pure state has. The
-        # joint energies, a fold into the bath's sorted array, and the joint
-        # probabilities are both read into the passive-energy dot in windows.
-        probs, energies, factors = inputs
-        values = eigens(DensityOperator(np.diag(probs)))
-        lex = expand(FactorizedEnsemble(factors))
+        # The joint energies, a fold into the bath's sorted array, and the
+        # keys, another, are both read into the passive-energy dot in
+        # windows. A key array equals the sorted outer product of the
+        # offsets and the bath energies.
+        values, levels, bath = inputs
+        lex = expand(bath_ensemble(bath))
         with forced_parts(parts):
-            bath_e = sorted_joint(np.zeros(1), [f.energies for f in factors], np.add)
-            joint_e = sorted_joint(bath_e, [energies], np.add)
-            (passive,) = passive_energies([values], energies, FactorizedEnsemble(factors))
-        want_p = np.sort(np.multiply.outer(values, lex.probs).ravel())
-        want_e = np.sort(np.add.outer(energies, lex.energies).ravel())
+            joint_e = joint_energies(levels, bath)
+            keys = joint_keys(values, bath)
+            (passive,) = passive_energies([values], levels, bath.gaps, bath.T)
+        want_e = np.sort(np.add.outer(levels, lex.energies), axis=None)
+        want_k = np.sort(np.add.outer(key_offsets(values, bath), lex.energies), axis=None)
         assert np.array_equal(bits(joint_e), bits(want_e))
-        assert passive == compensated_dot(want_p[::-1], want_e)
+        assert np.array_equal(bits(keys), bits(want_k))
+        assert passive == keyed_passive(values, levels, bath)
 
     def test_cap_covers_the_largest_seed_before_the_bath_is_built(self, monkeypatch):
-        bath = FactorizedEnsemble((SpectralEnsemble([0.5, 0.5], [0.0, 1.0]),) * 9)
+        gaps = np.ones(9)
         seeds = [np.array([1.0, 0.0]), np.array([0.5, 0.25, 0.25])]
         with monkeypatch.context() as patch:
             patch.setattr(spectra, "sorted_joint", lambda *args: pytest.fail("bath built"))
+            patch.setattr(spectra, "_fold", lambda *args: pytest.fail("fold made"))
             with pytest.raises(SizeCapError) as info:
-                passive_energies(seeds, np.zeros(2), bath, cap=1535)
+                passive_energies(seeds, np.zeros(2), gaps, 1.0, cap=1535)
         assert (info.value.size, info.value.cap) == (1536, 1535)
-        assert len(passive_energies(seeds, np.zeros(3), bath, cap=1536)) == 2
+        assert len(passive_energies(seeds, np.zeros(3), gaps, 1.0, cap=1536)) == 2
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 7, 16])
     @pytest.mark.parametrize("n", [1, 7, 14, 20])
     def test_passive_energies_match_the_seed_first_chain(self, dim, n):
-        # The products associate as lambda * (b_1 * ... * b_N) where
-        # sorted_joint's chain gives ((lambda * b_1) * ...) * b_N.
+        # The walk's probabilities exp(-key / T) against the product chain
+        # ((lambda * b_1) * ...) * b_N: two formulas, equal to rounding.
         rng = np.random.default_rng(100 * dim + n)
         hamiltonian = DiagonalHamiltonian(np.sort(rng.uniform(0.0, 3.0, dim)))
-        bath = bath_ensemble(custom_bath(rng.uniform(0.3, 3.0), rng.uniform(0.2, 2.5, n)))
+        bath = custom_bath(rng.uniform(0.3, 3.0), rng.uniform(0.2, 2.5, n))
         states = [
             random_state(RandomSpec(seed=100 * dim + n, dim=dim, kind=kind))
             for kind in (PURE_HAAR, MIXED_TRACE_NORMALIZED)
         ]
-        got = ERGOTROPY_MODULE._passive_energies(
-            states, hamiltonian, bath, spectra.DEFAULT_EXPANSION_CAP
-        )
-        energies = sorted_joint(hamiltonian.energies, [f.energies for f in bath.factors], np.add)
+        got = ERGOTROPY_MODULE._passive_energies(states, hamiltonian, bath)
+        energies = joint_energies(hamiltonian.energies, bath)
         want = [
-            compensated_dot(
-                sorted_joint(eigens(state), [f.probs for f in bath.factors], np.multiply)[::-1],
-                energies,
-            )
+            compensated_dot(product_chain(eigens(state), bath)[::-1], energies)
             for state in states
         ]
-        assert all(abs(g - w) <= 1e-14 for g, w in zip(got, want)), (got, want)
+        assert all(abs(g - w) <= 1e-14 * abs(w) for g, w in zip(got, want)), (got, want)
+
+    @pytest.mark.parametrize("n", [1, 7, 14, 20])
+    @pytest.mark.parametrize("kind", ["ladder", "hot"])
+    def test_gibbs_probabilities_match_the_product_chain(self, n, kind):
+        # Each bath configuration's probability exp(x), x = -E / T - ln Z
+        # with ln Z = sum of log1p(exp(-g / T)), against the product of its
+        # qubits' populations: the ladder at T = 1, and random gaps at
+        # T = 1e12, where every population is close to 1/2. A rounding of x
+        # moves exp(x) by |x| ulps relative, and the chain rounds n times:
+        # the ladder's worst case at n = 20 is 1.4e-14 relative (|x| = 44).
+        if kind == "ladder":
+            bath = skrzypczyk_bath(n, 1.0, 1.0)
+        else:
+            bath = custom_bath(1e12, np.random.default_rng(n).uniform(0.2, 2.5, n))
+        lex = expand(bath_ensemble(bath))
+        log_z = compensated_sum(np.log1p(np.exp(-bath.gaps / bath.T)))
+        x = -lex.energies / bath.T - log_z
+        ulps = np.abs(np.exp(x) - lex.probs) / (lex.probs * np.finfo(float).eps)
+        assert np.all(ulps <= 2 * (np.abs(x) + n))
 
 
 @contextlib.contextmanager
@@ -531,21 +589,12 @@ def streamed_sizes(parts: int, chunk: int, block: int = spectra._SUM_BLOCK):
         yield
 
 
-def sorted_passive(values: np.ndarray, t: np.ndarray, energies: np.ndarray) -> float:
-    # The reference: the whole joint probability array, sorted and reversed.
-    return compensated_dot(np.sort(np.multiply.outer(values, t), axis=None)[::-1], energies)
-
-
-def joint_arrays(levels, factors):
-    # The bath's sorted probabilities and the sorted joint energies, folded
-    # as h + (e_1 + ... + e_N).
-    t = sorted_joint(np.ones(1), [f.probs for f in factors], np.multiply)
-    bath_e = sorted_joint(np.zeros(1), [f.energies for f in factors], np.add)
-    return t, sorted_joint(bath_e, [np.asarray(levels, dtype=np.float64)], np.add)
+def walk(states, levels, bath: BathSpec) -> list[float]:
+    return passive_energies(states, levels, bath.gaps, bath.T)
 
 
 # Eigenvalues as eigens gives them: exact zeros of either sign, ties, and
-# full mantissas, whose products round differently under another summation
+# full mantissas, whose keys round differently under another summation
 # order.
 EIGENVALUE = st.one_of(
     st.sampled_from([0.0, -0.0, 1e-300, 0.25, 0.25]),
@@ -567,43 +616,43 @@ def state_spectra(draw, d):
 
 
 class TestStreamedPassive:
-    """The walk's passive energy equals the dot over the whole sorted joint
-    arrays, bit for bit, however the ranks are cut into windows and parts."""
+    """The walk's passive energy equals the dot over the whole sorted key
+    and joint energy arrays, bit for bit, however the ranks are cut into
+    windows and parts."""
 
     @pytest.mark.parametrize("parts", [1, 2, 3])
     @settings(max_examples=150, deadline=None)
     @given(
         raw=EIGENVALUES,
-        factors=st.lists(gibbs_factors(), min_size=0, max_size=6),
+        bath=gibbs_baths(8),
         chunk=st.integers(min_value=1, max_value=40),
         block=st.sampled_from([1, 3, 8, 16, 1 << 15]),
         data=st.data(),
     )
-    def test_equals_the_sorted_dot(self, parts, raw, factors, chunk, block, data):
+    def test_equals_the_sorted_dot(self, parts, raw, bath, chunk, block, data):
         # A window is a whole number of blocks, one block when the chunk is
         # shorter than one; a part is a run of windows.
         values = np.asarray(raw) + (0.0 if any(raw) else 1.0)
         values = np.clip(values / values.sum(), 0.0, 1.0)
         levels = data.draw(st.lists(LEVELS, min_size=values.size, max_size=values.size))
-        t, energies = joint_arrays(levels, factors)
         with streamed_sizes(1, spectra._CHUNK, block):
-            want = sorted_passive(values, t, energies)
-            whole = sorted_joint(t, [values], np.multiply)
+            want = keyed_passive(values, levels, bath)
+            whole = joint_keys(values, bath)
         with streamed_sizes(parts, chunk, block):
-            assert passive_energies([values], levels, FactorizedEnsemble(factors)) == [want]
+            assert walk([values], levels, bath) == [want]
             # The in-memory fold, cut into chunks of the same size, is unchanged.
-            assert np.array_equal(bits(sorted_joint(t, [values], np.multiply)), bits(whole))
+            assert np.array_equal(bits(joint_keys(values, bath)), bits(whole))
 
     @pytest.mark.parametrize("parts", [1, 2, 3])
     @pytest.mark.parametrize(
         "kind", ["d1", PURE_HAAR, MIXED_TRACE_NORMALIZED, "clipped_zero"]
     )
     def test_degenerate_bath_at_the_real_block_size(self, parts, kind):
-        # custom_bath(1.0, [1.0] * 12): 13 distinct bath probabilities with
+        # custom_bath(1.0, [1.0] * 12): 13 distinct bath energies with
         # binomial multiplicities, so the pivots fall on large tie groups.
         # Sixteen levels make 2^16 joint elements, two windows of one block
         # of the real size.
-        bath = bath_ensemble(custom_bath(1.0, [1.0] * 12))
+        bath = custom_bath(1.0, [1.0] * 12)
         if kind == "d1":
             values = np.ones(1)
         elif kind == "clipped_zero":
@@ -613,36 +662,33 @@ class TestStreamedPassive:
         else:
             values = eigens(random_state(RandomSpec(seed=5, dim=16, kind=kind)))
         levels = np.linspace(-1.0, 2.0, values.size)
-        t, energies = joint_arrays(levels, bath.factors)
-        want = sorted_passive(values, t, energies)
+        want = keyed_passive(values, levels, bath)
         with streamed_sizes(parts, 1000):
-            got = passive_energies([values], levels, bath)
+            got = walk([values], levels, bath)
         assert got == [want]
         if values.size == 16:
-            # The boundary of the two windows cuts a tie group of the joint
-            # probabilities.
-            probs = np.sort(np.multiply.outer(values[values != 0], t), axis=None)[::-1]
-            assert energies.size == 2 * spectra._SUM_BLOCK
-            assert probs[spectra._SUM_BLOCK - 1] == probs[spectra._SUM_BLOCK]
+            # The boundary of the two windows cuts a tie group of the keys.
+            keys = joint_keys(values, bath)
+            assert joint_energies(levels, bath).size == 2 * spectra._SUM_BLOCK
+            assert keys[spectra._SUM_BLOCK - 1] == keys[spectra._SUM_BLOCK]
 
     @pytest.mark.parametrize("parts", [1, 2, 3])
     @pytest.mark.parametrize("kind", [PURE_HAAR, MIXED_TRACE_NORMALIZED])
     def test_window_boundaries_inside_tie_groups(self, parts, kind):
         # Windows of 2048 ranks on the degenerate bath: most window
         # boundaries cut a tie group of the joint energies, and most cut one
-        # of the joint probabilities, so a window's sorted values reach past
-        # its ranks on both sides.
-        bath = bath_ensemble(custom_bath(1.0, [1.0] * 12))
+        # of the keys, so a window's sorted values reach past its ranks on
+        # both sides.
+        bath = custom_bath(1.0, [1.0] * 12)
         values = eigens(random_state(RandomSpec(seed=5, dim=16, kind=kind)))
         levels = np.linspace(-1.0, 2.0, values.size)
-        t, energies = joint_arrays(levels, bath.factors)
-        probs = np.sort(np.multiply.outer(values[values != 0], t), axis=None)[::-1]
+        energies, keys = joint_energies(levels, bath), joint_keys(values, bath)
         width = 2048
         assert sum(energies[r - 1] == energies[r] for r in range(width, energies.size, width)) > 10
-        assert sum(probs[r - 1] == probs[r] for r in range(width, probs.size, width)) > 10
+        assert sum(keys[r - 1] == keys[r] for r in range(width, keys.size, width)) > 10
         with streamed_sizes(parts, width, 512):
-            want = sorted_passive(values, t, energies)
-            assert passive_energies([values], levels, bath) == [want]
+            want = keyed_passive(values, levels, bath)
+            assert walk([values], levels, bath) == [want]
 
     @pytest.mark.parametrize("parts", [1, 2, 3])
     def test_zero_eigenvalues_span_several_windows(self, parts):
@@ -651,45 +697,40 @@ class TestStreamedPassive:
         # of 16 ranks.
         values = np.array([0.75, 0.25, 0.0, -0.0, 0.0])
         levels = np.array([0.0, 0.5, 1.0, 1.0, 2.5])
-        bath = bath_ensemble(custom_bath(1.3, [0.4, 0.9, 0.9, 1.7, 2.2, 3.1]))
-        t, energies = joint_arrays(levels, bath.factors)
+        bath = custom_bath(1.3, [0.4, 0.9, 0.9, 1.7, 2.2, 3.1])
         with streamed_sizes(parts, 16, 8):
-            want = sorted_passive(values, t, energies)
-            assert passive_energies([values], levels, bath) == [want]
+            want = keyed_passive(values, levels, bath)
+            assert walk([values], levels, bath) == [want]
 
     @pytest.mark.parametrize("parts", [1, 2, 3])
     def test_negative_levels_give_signed_zero_products(self, parts):
         # A bath level whose Gibbs population underflows to 0.0 gives zero
         # joint probabilities; under negative joint energies their products
         # are -0.0, and whole blocks of them sum to -0.0.
-        bath = FactorizedEnsemble(
-            (gibbs_ensemble(DiagonalHamiltonian([0.0, 800.0]), 1.0),) * 4
-            + (gibbs_ensemble(DiagonalHamiltonian([0.0, 1.0]), 1.0),)
-        )
+        bath = custom_bath(1.0, [800.0] * 4 + [1.0])
         values = np.array([0.6, 0.3, 0.1])
         levels = np.array([-9000.0, -8000.0, -7000.0])
-        t, energies = joint_arrays(levels, bath.factors)
-        products = np.sort(np.multiply.outer(values, t), axis=None)[::-1] * energies
+        energies, keys = joint_energies(levels, bath), joint_keys(values, bath)
+        products = np.exp(-keys) * energies
         assert np.signbit(products[products == 0.0]).all() and (products == 0.0).sum() >= 8
         with streamed_sizes(parts, 4, 2):
-            want = sorted_passive(values, t, energies)
-            (got,) = passive_energies([values], levels, bath)
+            want = keyed_passive(values, levels, bath)
+            (got,) = walk([values], levels, bath)
         assert got.hex() == want.hex()
 
     @pytest.mark.parametrize("parts", [1, 2, 3])
     def test_one_level(self, parts):
         # d = 1: the joint arrays are the bath's own.
-        bath = bath_ensemble(custom_bath(0.7, [0.3, 1.1, 1.1, 2.0, 0.5]))
-        t, energies = joint_arrays([0.25], bath.factors)
+        bath = custom_bath(0.7, [0.3, 1.1, 1.1, 2.0, 0.5])
         with streamed_sizes(parts, 3, 1):
-            want = sorted_passive(np.ones(1), t, energies)
-            assert passive_energies([np.ones(1)], [0.25], bath) == [want]
+            want = keyed_passive(np.ones(1), [0.25], bath)
+            assert walk([np.ones(1)], [0.25], bath) == [want]
 
     @pytest.mark.parametrize("parts", [1, 2, 3])
     def test_several_states_share_one_walk(self, parts):
         # Each state's value in one call equals its value alone, and the
-        # reference dot over its whole sorted joint probabilities.
-        bath = bath_ensemble(custom_bath(1.0, [0.5, 1.0, 1.0, 1.5, 2.0, 2.0, 3.0]))
+        # reference dot over its whole sorted keys.
+        bath = custom_bath(1.0, [0.5, 1.0, 1.0, 1.5, 2.0, 2.0, 3.0])
         levels = np.array([-0.5, 0.0, 0.7, 1.9])
         states = [
             np.array([1.0, 0.0, 0.0, 0.0]),
@@ -697,35 +738,33 @@ class TestStreamedPassive:
             np.array([0.5, 0.5, 0.0, 0.0]),
             eigens(random_state(RandomSpec(seed=3, dim=4, kind=MIXED_TRACE_NORMALIZED))),
         ]
-        t, energies = joint_arrays(levels, bath.factors)
         with streamed_sizes(parts, 24, 8):
-            want = [sorted_passive(values, t, energies) for values in states]
-            assert passive_energies(states, levels, bath) == want
-            assert [passive_energies([v], levels, bath)[0] for v in states] == want
+            want = [keyed_passive(values, levels, bath) for values in states]
+            assert walk(states, levels, bath) == want
+            assert [walk([v], levels, bath)[0] for v in states] == want
 
     @settings(max_examples=150, deadline=None)
     @given(
         d=st.integers(min_value=1, max_value=4),
-        factors=st.lists(gibbs_factors(), min_size=0, max_size=4),
+        bath=gibbs_baths(6),
         windows=st.integers(min_value=1, max_value=4),
         block=st.sampled_from([1, 2, 3, 8]),
         parts=st.integers(min_value=1, max_value=5),
         data=st.data(),
     )
-    def test_cells_split_across_parts(self, d, factors, windows, block, parts, data):
+    def test_cells_split_across_parts(self, d, bath, windows, block, parts, data):
         # Up to 4 windows of whole blocks and up to 30 states: with more
         # parts than windows, one window's states are split between parts.
         levels = data.draw(st.lists(LEVELS, min_size=d, max_size=d))
         states = data.draw(st.lists(state_spectra(d), min_size=0, max_size=30))
-        bath = FactorizedEnsemble(factors)
-        t, energies = joint_arrays(levels, factors)
-        chunk = block * -(-energies.size // (windows * block))
-        assert -(-energies.size // chunk) <= windows
+        size = d << bath.n_qubits
+        chunk = block * -(-size // (windows * block))
+        assert -(-size // chunk) <= windows
         with streamed_sizes(1, chunk, block):
-            want = [sorted_passive(values, t, energies) for values in states]
-            one = passive_energies(states, levels, bath)
+            want = [keyed_passive(values, levels, bath) for values in states]
+            one = walk(states, levels, bath)
         with streamed_sizes(parts, chunk, block):
-            cut = passive_energies(states, levels, bath)
+            cut = walk(states, levels, bath)
         assert np.array_equal(bits(cut), bits(one))
         assert np.array_equal(bits(one), bits(want))
 
@@ -734,21 +773,32 @@ class TestStreamedPassive:
         # Two windows of 8 ranks, cells (0, A), (0, B), (1, A), (1, B): the
         # last part starts on (1, A), whose 8 products all lie in window 0,
         # and must still sort window 1's energies for (1, B).
-        bath = bath_ensemble(custom_bath(1.0, [0.5, 1.0, 2.0]))
+        bath = custom_bath(1.0, [0.5, 1.0, 2.0])
         levels = np.array([0.0, 1.0])
         states = [np.array([1.0, 0.0]), np.array([0.5, 0.5])]
-        t, energies = joint_arrays(levels, bath.factors)
-        assert (t.size, energies.size) == (8, 16)
+        assert (joint_keys(states[0], bath).size, joint_energies(levels, bath).size) == (8, 16)
         with streamed_sizes(parts, 8, 8):
-            want = [sorted_passive(values, t, energies) for values in states]
-            got = passive_energies(states, levels, bath)
+            want = [keyed_passive(values, levels, bath) for values in states]
+            got = walk(states, levels, bath)
         assert np.array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("exponent", [1023, -1060])
+    def test_extreme_temperatures_scale_exactly(self, exponent):
+        # Scaling T, the gaps and the levels by 2^k scales the passive
+        # energies by 2^k. At T = 2^1023 a key T (ln Z - ln lambda)
+        # overflows, and at the subnormal T = 2^-1060 it keeps few bits,
+        # unless the walk rescales them.
+        gaps, levels = np.array([0.0625, 0.125, 0.25]), np.array([0.0, 0.125])
+        states = [np.array([1.0, 0.0]), np.array([0.7, 0.3]), np.array([1e-300, 1.0])]
+        want = [math.ldexp(v, exponent) for v in passive_energies(states, levels, gaps, 1.0)]
+        scaled = [np.ldexp(a, exponent) for a in (levels, gaps)]
+        assert passive_energies(states, *scaled, math.ldexp(1.0, exponent)) == want
+        assert all(0 < v < math.inf for v in want)
 
     @pytest.mark.parametrize("parts", [1, 2, 3])
     def test_no_states(self, parts):
-        bath = bath_ensemble(custom_bath(1.0, [0.5, 1.0]))
         with streamed_sizes(parts, 2, 1):
-            assert passive_energies([], [0.0, 1.0], bath) == []
+            assert walk([], [0.0, 1.0], custom_bath(1.0, [0.5, 1.0])) == []
 
     @pytest.mark.parametrize(
         "cpus, qubits, count, want", [(2, 16, 26, 2), (1, 16, 26, 1), (2, 16, 1, 1), (2, 14, 26, 1)]
@@ -759,9 +809,9 @@ class TestStreamedPassive:
         # crossover, so they are split over the CPUs; one state's 2^17
         # products are not. With 14 qubits the 2^15 ranks are one block,
         # summed under the GIL, and 26 states stay on one part.
-        bath = bath_ensemble(skrzypczyk_bath(qubits, 1.0, 1.0))
+        bath = skrzypczyk_bath(qubits, 1.0, 1.0)
         levels = np.array([0.0, 1.0])
-        assert levels.size * bath.size <= spectra._CHUNK
+        assert levels.size << bath.n_qubits <= spectra._CHUNK
         states = [np.array([p, 1.0 - p]) for p in np.linspace(0.5, 1.0, count)]
         run_parts, counts = spectra._run_parts, []
 
@@ -771,17 +821,18 @@ class TestStreamedPassive:
             return run_parts(task, parts)
 
         with forced_parts(1, spectra._PARALLEL_MIN):
-            one = passive_energies(states, levels, bath)
+            one = walk(states, levels, bath)
         with forced_parts(cpus, spectra._PARALLEL_MIN), pytest.MonkeyPatch.context() as patch:
             patch.setattr(spectra, "_run_parts", recording)
-            got = passive_energies(states, levels, bath)
+            got = walk(states, levels, bath)
         assert counts == [want]
         assert np.array_equal(bits(got), bits(one))
 
     def test_report_holds_no_joint_array(self, plus_state, qubit_h):
-        # An N = 20 qubit report has 2^21 joint elements (16 MiB), and each
-        # of the bath's two sorted arrays takes 8 MiB. A traced peak below
-        # 24 MiB leaves no room for a joint-sized array beside a bath array.
+        # An N = 20 qubit report has 2^21 joint elements (16 MiB), and the
+        # bath's one sorted energy array takes 8 MiB, with a 4 MiB scratch
+        # buffer while it is built. A traced peak below 16 MiB leaves no
+        # room for a joint-sized array.
         bath = skrzypczyk_bath(20, 1.0, 1.0)
         tracemalloc.start()
         try:
@@ -790,11 +841,10 @@ class TestStreamedPassive:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 24 << 20, peak
+        assert peak < 16 << 20, peak
 
 
-# Stream inputs: ties, signed zeros, negative values (a negative factor
-# value makes a descending run) and products that underflow to zero.
+# Stream inputs: ties, signed zeros, negative values and subnormals.
 STREAM_VALUES = st.sampled_from(
     [-3.0, -1.0, -0.0, 0.0, 5e-324, 1e-300, 1e-200, 0.5, 0.5, 1.0, 2.0]
 )
@@ -809,19 +859,17 @@ class TestStreamWindows:
     @given(
         seed=st.lists(STREAM_VALUES, min_size=1, max_size=12),
         values=st.lists(STREAM_VALUES, min_size=1, max_size=6),
-        combine=st.sampled_from([np.multiply, np.add]),
         chunk=st.integers(min_value=1, max_value=40),
         cuts=st.lists(st.tuples(st.integers(0, 100), st.integers(0, 100)), max_size=6),
     )
     @example(
-        seed=[-1.0, 0.0, 0.5, 0.5, 2.0], values=[-3.0, 0.5, -1.0], combine=np.multiply,
-        chunk=2, cuts=[(0, 15), (3, 9)],
+        seed=[-1.0, 0.0, 0.5, 0.5, 2.0], values=[-3.0, 0.5, -1.0], chunk=2, cuts=[(0, 15), (3, 9)],
     )
-    def test_window_equals_the_sorted_fold(self, parts, seed, values, combine, chunk, cuts):
+    def test_window_equals_the_sorted_fold(self, parts, seed, values, chunk, cuts):
         s, f = np.sort(np.array(seed)), np.array(values)
-        # A stable sort meets the ties of the runs combine(c, s) in run order,
-        # as a fold's chunks and a stream's windows do.
-        want = np.sort(combine.outer(f, s), axis=None, kind="stable")
+        # A stable sort meets the ties of the runs c + s in run order, as a
+        # fold's chunks and a stream's windows do.
+        want = np.sort(np.add.outer(f, s), axis=None, kind="stable")
         size = want.size
         ranges = [sorted((a % (size + 1), b % (size + 1))) for a, b in cuts]
         # Ranges that start and end inside a tie group.
@@ -829,9 +877,9 @@ class TestStreamWindows:
         for r in ties[:: max(1, len(ties) // 3)]:
             ranges += [(r, size), (0, r), (r, r + 1), (r - 1, min(size, r + 2))]
         with streamed_sizes(parts, chunk):
-            stream = spectra._stream(s, f, combine, min(spectra._CHUNK, -(-size // parts)))
+            stream = spectra._stream(s, f, min(spectra._CHUNK, -(-size // parts)))
             for lo, hi in ranges:
                 if lo < hi:
                     got = spectra._window(stream, lo, hi, np.empty(size))
                     assert np.array_equal(bits(got), bits(want[lo:hi])), (lo, hi)
-            assert np.array_equal(bits(spectra._fold(s, f, combine, np.empty(size))), bits(want))
+            assert np.array_equal(bits(spectra._fold(s, f, np.empty(size))), bits(want))

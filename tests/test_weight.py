@@ -15,7 +15,6 @@ from ergolock import (
     control_marginal,
     skrzypczyk_bath,
 )
-from ergolock.bath import bath_ensemble
 from ergolock.ergotropy import ergotropy_product
 from ergolock.spectra import eigens, shannon_entropy
 
@@ -138,7 +137,7 @@ class TestControlMarginal:
             assert shannon_entropy(eigens(sigma)) >= shannon_entropy(eigens(rho)) - 1e-10
 
     def test_time_state_preserves_product_ergotropy(self, plus_state, qubit_h):
-        bath = bath_ensemble(skrzypczyk_bath(2, 1.0, 1.0))
+        bath = skrzypczyk_bath(2, 1.0, 1.0)
         reference = ergotropy_product(plus_state, qubit_h, bath)
         for t in (-4.0, -0.3, 0.0, 1.7, 20.0):
             rotated = control_marginal(plus_state, qubit_h, TimeStateWeight(t=t))
