@@ -19,11 +19,9 @@ from typing import Sequence
 
 from .bath import BathSpec, bath_ensemble
 from .spectra import (
-    DEFAULT_EXPANSION_CAP,
     DensityOperator,
     DiagonalHamiltonian,
     SpectralEnsemble,
-    _check_temperature,
     average_energy,
     compensated_dot,
     eigens,
@@ -37,17 +35,14 @@ ERGOTROPY_FLOOR = -1e-10
 
 
 def _passive_energies(
-    systems: Sequence[DensityOperator],
-    hamiltonian: DiagonalHamiltonian,
-    bath: BathSpec,
-    cap: int = DEFAULT_EXPANSION_CAP,
+    systems: Sequence[DensityOperator], hamiltonian: DiagonalHamiltonian, bath: BathSpec
 ) -> list[float]:
     # Passive energy of each (state x bath), from one walk over the joint
     # energies shared by all; no joint array is held.
     if any(system.dim != hamiltonian.dim for system in systems):
         raise ValueError("system state and Hamiltonian dimensions differ")
     values = [eigens(s) for s in systems]
-    return passive_energies(values, hamiltonian.energies, bath.gaps, bath.T, cap)
+    return passive_energies(values, hamiltonian.energies, bath.gaps, bath.T)
 
 
 def _average_energies(
@@ -66,10 +61,7 @@ def _average_energies(
 
 
 def ergotropy_product(
-    system: DensityOperator,
-    hamiltonian: DiagonalHamiltonian,
-    bath: BathSpec,
-    cap: int = DEFAULT_EXPANSION_CAP,
+    system: DensityOperator, hamiltonian: DiagonalHamiltonian, bath: BathSpec
 ) -> float:
     """Ergotropy of (system state) x (thermal bath) under H_S + H_B.
 
@@ -77,23 +69,20 @@ def ergotropy_product(
     merged sorted runs, and no joint array is held; the mean energy is
     taken additively from the system matrix diagonal and the bath factors.
     """
-    (value,) = shared_bath_ergotropies([system], hamiltonian, bath, cap)
+    (value,) = shared_bath_ergotropies([system], hamiltonian, bath)
     return value
 
 
 def shared_bath_ergotropies(
-    systems: Sequence[DensityOperator],
-    hamiltonian: DiagonalHamiltonian,
-    bath: BathSpec,
-    cap: int = DEFAULT_EXPANSION_CAP,
+    systems: Sequence[DensityOperator], hamiltonian: DiagonalHamiltonian, bath: BathSpec
 ) -> list[float]:
     """:func:`ergotropy_product` of each state with the same bath.
 
     The states share the joint energy multiset, so each window of it is
     sorted once. Each value equals
-    ``ergotropy_product(state, hamiltonian, bath, cap)`` bit for bit.
+    ``ergotropy_product(state, hamiltonian, bath)`` bit for bit.
     """
-    passives = _passive_energies(systems, hamiltonian, bath, cap)
+    passives = _passive_energies(systems, hamiltonian, bath)
     means = _average_energies(systems, hamiltonian, bath_ensemble(bath).factors)
     values = []
     for mean, passive in zip(means, passives):
@@ -114,14 +103,10 @@ class Theorem2Result:
 
 
 def theorem2_check(
-    rho: DensityOperator,
-    xi: DensityOperator,
-    hamiltonian: DiagonalHamiltonian,
-    bath: BathSpec,
-    temperature: float,
+    rho: DensityOperator, xi: DensityOperator, hamiltonian: DiagonalHamiltonian, bath: BathSpec
 ) -> Theorem2Result:
     """Conditional bound relating joint ergotropy differences to system
-    free-energy differences.
+    free-energy differences at the bath's temperature.
 
     Evaluates the hypothesis F(passive of xi x bath) <= F(passive of
     rho x bath); when it holds, lhs = R(rho x bath) - R(xi x bath) must not
@@ -129,12 +114,11 @@ def theorem2_check(
     its parent, and entropy adds over a product, so its entropy is
     S(state) + sum of the bath factor entropies; no joint array is summed.
     """
-    _check_temperature(temperature)
     rho_passive, xi_passive = _passive_energies([rho, xi], hamiltonian, bath)
     factors = bath_ensemble(bath).factors
     bath_entropy = sum(entropy(f) for f in factors)
-    free_rho_passive = rho_passive - temperature * (shannon_entropy(eigens(rho)) + bath_entropy)
-    free_xi_passive = xi_passive - temperature * (shannon_entropy(eigens(xi)) + bath_entropy)
+    free_rho_passive = rho_passive - bath.T * (shannon_entropy(eigens(rho)) + bath_entropy)
+    free_xi_passive = xi_passive - bath.T * (shannon_entropy(eigens(xi)) + bath_entropy)
     condition = free_xi_passive <= free_rho_passive
 
     rho_mean, xi_mean = _average_energies([rho, xi], hamiltonian, factors)
@@ -145,7 +129,6 @@ def theorem2_check(
         condition_holds=bool(condition),
         lhs=rho_ergotropy - xi_ergotropy,
         rhs=(
-            state_free_energy(rho, hamiltonian, temperature)
-            - state_free_energy(xi, hamiltonian, temperature)
+            state_free_energy(rho, hamiltonian, bath.T) - state_free_energy(xi, hamiltonian, bath.T)
         ),
     )

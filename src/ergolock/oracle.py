@@ -109,10 +109,10 @@ def dense_joint(
     """
     if rho.dim != hamiltonian.dim:
         raise ValueError("state and Hamiltonian dimensions differ")
-    bath_spectrum = expand(bath_ensemble(bath))
-    joint_dim = rho.dim * bath_spectrum.size
+    joint_dim = rho.dim << bath.n_qubits
     if joint_dim > DENSE_DIM_CAP:
         raise SizeCapError(joint_dim, DENSE_DIM_CAP)
+    bath_spectrum = expand(bath_ensemble(bath))
     state = np.kron(rho.entries, np.diag(bath_spectrum.probs))
     energies = np.add.outer(hamiltonian.energies, bath_spectrum.energies).ravel()
     return DenseJoint(DensityOperator(state), DiagonalHamiltonian(energies))

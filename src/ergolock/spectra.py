@@ -4,10 +4,10 @@ A state that is diagonal in a known energy basis is fully described by a
 paired list of (probability, energy): a :class:`SpectralEnsemble`. Product
 states of many such factors are kept factorized (:class:`FactorizedEnsemble`).
 Passive energies need only the two joint multisets, each in ascending order.
-:func:`sorted_joint` adds one factor at a time into a sorted array, so every
-step is a linear merge of sorted runs. In a thermal bath a configuration's
-probability depends on its energy alone, so :func:`passive_energies` keys
-both joint streams by one sorted bath energy array and walks them in
+In a thermal bath a configuration's probability depends on its energy alone,
+so :func:`passive_energies` builds the bath's sorted energy levels once,
+folding in one qubit gap at a time as a linear merge of two sorted runs. It
+keys both joint streams by that one array and walks them in
 rank-aligned, cache-sized windows: no joint-sized array is held. One planner
 (``_stream``) cuts a fold and a walk alike at exact pivot ranks. A large
 fold is cut into one part per CPU in the process's affinity mask, and a
@@ -40,7 +40,8 @@ PROB_FLOOR = -1e-12
 PROB_SUM_ATOL = 1e-10
 FACTOR_SUM_ATOL = 1e-9
 
-# Flat (prob, energy) arrays are capped here; beyond it callers must stream.
+# An expansion, or a passive-energy walk, of more joint elements than this
+# raises SizeCapError before anything is built.
 DEFAULT_EXPANSION_CAP = 1 << 26
 
 _SUM_BLOCK = 1 << 15
@@ -81,16 +82,18 @@ def _count_text(n: int) -> str:
     return f"about {10 ** (log - int(log)):.3g}e{int(log)}"
 
 
-def _check_cap(sizes: Sequence[int], cap: int) -> None:
+def _check_cap(sizes: Sequence[int]) -> None:
     size = 1
     for n in sizes:
         size *= int(n)
-        if size > cap:
+        if size > DEFAULT_EXPANSION_CAP:
             # Equal factor sizes are grouped into one power, so the exact
             # count of a 10^6-qubit bath costs one shift, not 10^6 big-int
             # products.
             counts = Counter(int(n) for n in sizes)
-            raise SizeCapError(math.prod(n**k for n, k in counts.items()), cap)
+            raise SizeCapError(
+                math.prod(n**k for n, k in counts.items()), DEFAULT_EXPANSION_CAP
+            )
 
 
 def _parts(size: int) -> int:
@@ -348,48 +351,20 @@ def state_free_energy(
     return energy - temperature * shannon_entropy(eigens(rho))
 
 
-def sorted_joint(
-    seed: np.ndarray, factors: Sequence[np.ndarray], cap: int = DEFAULT_EXPANSION_CAP
-) -> np.ndarray:
-    """Ascending array of the sums of every choice of one value from the 1-D
-    ``seed`` and one from each 1-D float64 factor.
-
-    The seed is sorted, then each factor is folded into the sorted array
-    ``s``: for each factor value ``c`` the run ``c + s`` is sorted, because
-    ``x -> x + c`` is monotone in IEEE-754, and a stable sort (timsort)
-    merges a few such runs in linear time. IEEE ``+`` is commutative, so the
-    result equals ``np.sort`` of the lexicographic expansion that
-    :func:`expand` builds with the seed as its first factor, element for
-    element (only the order of a -0.0 and a 0.0, which compare equal, may
-    differ). A result larger than ``cap`` raises :class:`SizeCapError`
-    before anything is allocated.
-
-    A fold of more than ``_CHUNK`` elements is planned by the planner of the
-    passive-energy walk, after Odeh et al., "Merge Path", IPDPS Workshops
-    2012: pivots come from a strided sample, and one bisection finds each
-    pivot's exact rank in every run. Every 16th pivot rank bounds a chunk of
-    about ``_CHUNK`` elements, whose pieces of the runs are written into its
-    own slice of the output and sorted there, so a merge buffer is at most
-    about half a chunk. A fold of ``_PARALLEL_MIN`` elements or more gives
-    each part (:func:`_run_parts`) a contiguous run of chunks. All copies of
-    a value (a -0.0 and a 0.0 included) fall in one chunk, in the order one
-    whole-array stable sort would meet them, so the result is the same array
-    bit for bit, however it is cut. The folds alternate between the result
-    and one scratch buffer, so a chain of any length allocates two arrays.
-    """
-    _check_cap([len(seed), *map(len, factors)], cap)
-    s = np.sort(np.asarray(seed, dtype=np.float64))
-    if not factors:
-        return s
-    # The last fold lands in the result, the one before it in the scratch
-    # buffer, and so on back.
-    size = s.size * math.prod(map(len, factors))
-    out, scratch = np.empty(size), np.empty(size // len(factors[-1]))
-    if len(factors) % 2 == 0:
+def _bath_energies(gaps: np.ndarray) -> np.ndarray:
+    # Ascending sums of every subset of the gaps: each gap g is folded into
+    # the sorted sums s as the runs 0.0 + s and g + s. IEEE + is commutative,
+    # so this equals np.sort of the bath's expanded energies bit for bit.
+    # The last fold lands in the result, the one before it in a scratch
+    # buffer of half the size, and so on back, so the chain allocates two
+    # arrays.
+    s = np.zeros(1)
+    size = 1 << len(gaps)
+    out, scratch = np.empty(size), np.empty(size // 2)
+    if len(gaps) % 2 == 0:
         out, scratch = scratch, out
-    for f in factors:
-        f = np.asarray(f, dtype=np.float64)
-        s = _fold(s, f, out[: f.size * s.size])
+    for g in gaps:
+        s = _fold(s, np.array([0.0, g]), out[: 2 * s.size])
         out, scratch = scratch, out
     return s
 
@@ -399,7 +374,6 @@ def passive_energies(
     levels: np.ndarray,
     gaps: np.ndarray,
     temperature: float,
-    cap: int = DEFAULT_EXPANSION_CAP,
 ) -> list[float]:
     """Passive energy of each state, given by its non-negative eigenvalues,
     with the thermal bath of qubits of these ``gaps`` at ``temperature``,
@@ -423,9 +397,9 @@ def passive_energies(
     products in their last block, and later blocks are left out. The value
     equals ``compensated_dot`` over the whole sorted arrays, the keys mapped
     the same way, bit for bit. Every state's full joint size is checked
-    against ``cap`` before anything is built.
+    against the cap before anything is built.
     """
-    _check_cap([max(map(len, [levels, *eigenvalues])), *[2] * len(gaps)], cap)
+    _check_cap([max(map(len, [levels, *eigenvalues])), *[2] * len(gaps)])
     # Every energy and T are scaled by the exact power of two that keeps T
     # within 2^+-900, so a key's T (ln Z - ln lambda) is finite and normal.
     exponent = math.frexp(temperature)[1]
@@ -434,7 +408,7 @@ def passive_energies(
     levels = np.asarray(levels, dtype=np.float64) / scale
     temperature /= scale
     width = _SUM_BLOCK * max(1, _CHUNK // _SUM_BLOCK)
-    bath_energies = sorted_joint(np.zeros(1), [np.array([0.0, g]) for g in gaps], cap)
+    bath_energies = _bath_energies(gaps)
     energies = _stream(bath_energies, levels, width)
     log_z = compensated_sum(np.log1p(np.exp(-gaps / temperature)))
     states = []
@@ -471,10 +445,18 @@ def passive_energies(
 
 def _fold(s: np.ndarray, f: np.ndarray, out: np.ndarray) -> np.ndarray:
     # Sorted multiset of c + x over c in f and x in the sorted s, written
-    # into out. Every 16th pivot of the fold's stream bounds a chunk of
-    # about _CHUNK values, at least one per part where the values allow, and
-    # each chunk is written and sorted in its own slice of out: the pivot
-    # ranks are exact.
+    # into out. Each run c + s is sorted, because x -> x + c is monotone in
+    # IEEE-754, and a stable sort (timsort) merges a few such runs in linear
+    # time. The fold is planned as the walk is, after Odeh et al., "Merge
+    # Path", IPDPS Workshops 2012: pivots come from a strided sample, and
+    # one bisection finds each pivot's exact rank in every run. Every 16th
+    # pivot bounds a chunk of about _CHUNK values, at least one per part
+    # where the values allow, and each chunk is written and sorted in its
+    # own slice of out, so a merge buffer is at most about half a chunk.
+    # Each part takes a contiguous run of chunks. All copies of a value (a
+    # -0.0 and a 0.0 included) fall in one chunk, in the order one
+    # whole-array stable sort would meet them, so the result is the same
+    # array bit for bit, however it is cut.
     parts = _parts(out.size)
     stream = _stream(s, f, min(_CHUNK, -(-out.size // parts)))
     ranks = stream.ranks
@@ -565,18 +547,17 @@ def _run_pieces(f: np.ndarray, s: np.ndarray, pivots: np.ndarray) -> np.ndarray:
     return np.pad(cuts, ((0, 0), (1, 1)), constant_values=(0, s.size)).T
 
 
-def expand(
-    factorized: FactorizedEnsemble, cap: int = DEFAULT_EXPANSION_CAP
-) -> SpectralEnsemble:
+def expand(factorized: FactorizedEnsemble) -> SpectralEnsemble:
     """Expand a factorized ensemble into one flat SpectralEnsemble.
 
     Output order is lexicographic over factor indices (first factor slowest),
     matching the Kronecker-product basis convention of the dense oracle, so
     outputs are byte-reproducible: probabilities multiply and energies add
     over all index combinations. Zero-probability entries are kept. A result
-    larger than ``cap`` raises :class:`SizeCapError` instead of allocating.
+    larger than ``DEFAULT_EXPANSION_CAP`` raises :class:`SizeCapError`
+    instead of allocating.
     """
-    _check_cap([f.size for f in factorized.factors], cap)
+    _check_cap([f.size for f in factorized.factors])
     probs, energies = np.ones(1), np.zeros(1)
     for f in factorized.factors:
         probs = np.multiply.outer(probs, f.probs).ravel()

@@ -156,7 +156,7 @@ def _theorem2(i: int, child: int, rng: np.random.Generator):
     )
     temperature = float(rng.uniform(0.3, 3.0))
     bath = _random_bath(rng, temperature, 2)
-    result = theorem2_check(rho, xi, hamiltonian, bath, temperature)
+    result = theorem2_check(rho, xi, hamiltonian, bath)
     if not result.condition_holds:
         return None  # hypothesis violated: excluded, never asserted
     violation = result.lhs - result.rhs

@@ -215,7 +215,7 @@ class TestSweepEngine:
 
     @staticmethod
     def _count_joint_builds(monkeypatch) -> Counter:
-        # Counts bath builds, the sorted bath arrays (sorted_joint calls),
+        # Counts bath builds, the sorted bath arrays (_bath_energies calls),
         # the folds made outside those builds (none: no joint array is
         # built) and the joint streams the passive-energy walk reads: the
         # joint energies and each state's keys. A bath build's folds plan
@@ -223,17 +223,17 @@ class TestSweepEngine:
         calls = Counter()
         building = []
         build_bath = ERGOTROPY_MODULE.bath_ensemble
-        build_array, fold, stream = spectra.sorted_joint, spectra._fold, spectra._stream
+        build_array, fold, stream = spectra._bath_energies, spectra._fold, spectra._stream
 
         def counted_bath(bath):
             calls["bath_ensemble"] += 1
             return build_bath(bath)
 
-        def counted_array(seed, factors, cap):
+        def counted_array(gaps):
             calls["bath array"] += 1
-            building.append(seed)
+            building.append(gaps)
             try:
-                return build_array(seed, factors, cap)
+                return build_array(gaps)
             finally:
                 building.pop()
 
@@ -248,7 +248,7 @@ class TestSweepEngine:
             return stream(s, f, width)
 
         monkeypatch.setattr(ERGOTROPY_MODULE, "bath_ensemble", counted_bath)
-        monkeypatch.setattr(spectra, "sorted_joint", counted_array)
+        monkeypatch.setattr(spectra, "_bath_energies", counted_array)
         monkeypatch.setattr(spectra, "_fold", counted_fold)
         monkeypatch.setattr(spectra, "_stream", counted_stream)
         return calls

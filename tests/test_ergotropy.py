@@ -10,6 +10,7 @@ from ergolock import (
     SizeCapError,
     random_state,
     skrzypczyk_bath,
+    spectra,
 )
 from ergolock.bath import BathSpec, bath_ensemble
 from ergolock.ergotropy import ergotropy_product, theorem2_check
@@ -103,10 +104,11 @@ class TestErgotropyProduct:
         with pytest.raises(ValueError):
             ergotropy_product(plus_state, DiagonalHamiltonian([0.0, 1.0, 2.0]), n1_bath)
 
-    def test_cap_overflow(self, plus_state, qubit_h):
+    def test_cap_overflow(self, monkeypatch, plus_state, qubit_h):
         bath = skrzypczyk_bath(10, 1.0, 1.0)
+        monkeypatch.setattr(spectra, "DEFAULT_EXPANSION_CAP", 1000)
         with pytest.raises(SizeCapError):
-            ergotropy_product(plus_state, qubit_h, bath, cap=1000)
+            ergotropy_product(plus_state, qubit_h, bath)
 
     def test_empty_bath(self, plus_state, qubit_h):
         value = ergotropy_product(plus_state, qubit_h, BathSpec(T=1.0, gaps=np.empty(0)))
@@ -175,26 +177,22 @@ class TestPassiveReferenceSplit:
 class TestTheorem2:
     def test_gibbs_reference_reduces_to_free_energy_bound(self, plus_state, qubit_h, n1_bath):
         tau = DensityOperator(np.diag(gibbs_ensemble(qubit_h, 1.0).probs).astype(complex))
-        result = theorem2_check(plus_state, tau, qubit_h, n1_bath, 1.0)
+        result = theorem2_check(plus_state, tau, qubit_h, n1_bath)
         assert result.condition_holds
         assert result.lhs == pytest.approx(0.5, abs=1e-12)
         assert result.rhs == pytest.approx(0.81326, abs=1e-5)
         assert result.lhs <= result.rhs + 1e-9
 
     def test_reflexive_pair_is_zero(self, dephased_plus, qubit_h, n1_bath):
-        result = theorem2_check(dephased_plus, dephased_plus, qubit_h, n1_bath, 1.0)
+        result = theorem2_check(dephased_plus, dephased_plus, qubit_h, n1_bath)
         assert result.condition_holds
         assert result.lhs == pytest.approx(0.0, abs=1e-14)
         assert result.rhs == pytest.approx(0.0, abs=1e-14)
 
     def test_worked_pair_values(self, plus_state, qubit_h, n1_bath):
         tau = DensityOperator(np.diag(gibbs_ensemble(qubit_h, 1.0).probs).astype(complex))
-        result = theorem2_check(plus_state, tau, qubit_h, n1_bath, 1.0)
+        result = theorem2_check(plus_state, tau, qubit_h, n1_bath)
         assert result.rhs == pytest.approx(0.5 - (-0.31326), abs=1e-5)
-
-    def test_rejects_bad_temperature(self, plus_state, qubit_h, n1_bath):
-        with pytest.raises(ValueError):
-            theorem2_check(plus_state, plus_state, qubit_h, n1_bath, 0.0)
 
 
 def _random_instance(seed: int, max_qubits: int = 12):
@@ -214,7 +212,7 @@ class TestTheorem2Kernel:
         for seed in range(20):
             rho, h, bath = _random_instance(seed, max_qubits=6)
             xi = random_state(RandomSpec(seed=seed + 1000, dim=rho.dim, kind=PURE_HAAR))
-            result = theorem2_check(rho, xi, h, bath, 0.8)
+            result = theorem2_check(rho, xi, h, bath)
             expected = ergotropy_product(rho, h, bath) - ergotropy_product(xi, h, bath)
             assert result.lhs == expected, seed
 

@@ -14,6 +14,7 @@ from ergolock import (
     random_unitary,
     theorem1_work,
 )
+from ergolock import oracle
 from ergolock.ergotropy import ergotropy_product
 from ergolock.oracle import trial_seed
 from ergolock.spectra import gibbs_ensemble
@@ -88,6 +89,18 @@ class TestDenseJoint:
     def test_dimension_cap(self, qubit_h, plus_state):
         with pytest.raises(SizeCapError):
             dense_joint(plus_state, qubit_h, custom_bath(1.0, [1.0] * 12))
+
+    def test_dimension_cap_is_checked_before_the_bath_is_expanded(
+        self, monkeypatch, qubit_h, plus_state
+    ):
+        # A 24-qubit bath expanded would take 2 x 128 MiB before the refusal.
+        def refuse(*args):
+            raise AssertionError("the bath was expanded before the dimension cap")
+
+        monkeypatch.setattr(oracle, "expand", refuse)
+        with pytest.raises(SizeCapError) as info:
+            dense_joint(plus_state, qubit_h, custom_bath(1.0, [1.0] * 24))
+        assert (info.value.size, info.value.cap) == (2 << 24, oracle.DENSE_DIM_CAP)
 
 
 class TestDenseErgotropy:

@@ -38,7 +38,6 @@ from ergolock.spectra import (
     free_energy,
     gibbs_ensemble,
     passive_energies,
-    sorted_joint,
 )
 
 from helpers import tensor
@@ -215,10 +214,11 @@ class TestTensorExpand:
         assert len(nested.factors) == 3
         assert expand(nested).size == 8
 
-    def test_cap_raises_size_cap_error(self):
+    def test_cap_raises_size_cap_error(self, monkeypatch):
         bath = bath_ensemble(skrzypczyk_bath(8, 1.0, 1.0))
+        monkeypatch.setattr(spectra, "DEFAULT_EXPANSION_CAP", 100)
         with pytest.raises(SizeCapError):
-            expand(bath, cap=100)
+            expand(bath)
 
     def test_zero_probabilities_are_kept(self):
         a = SpectralEnsemble([1.0, 0.0], [0.0, 1.0])
@@ -275,48 +275,67 @@ def joint_inputs(draw):
     return probs, energies, factors
 
 
-class TestSortedJoint:
-    @settings(max_examples=200, deadline=None)
-    @given(joint_inputs())
-    def test_equals_sorted_lexicographic_expansion(self, inputs):
-        probs, energies, factors = inputs
-        lex = expand(FactorizedEnsemble((SpectralEnsemble(probs, energies), *factors)))
-        e_sorted = sorted_joint(energies, [f.energies for f in factors])
-        assert np.array_equal(e_sorted, np.sort(lex.energies))
+def fold_chain(seed, factors) -> np.ndarray:
+    # Each factor folded in turn into the sorted seed.
+    s = np.sort(np.asarray(seed, dtype=np.float64))
+    for f in factors:
+        f = np.asarray(f, dtype=np.float64)
+        s = spectra._fold(s, f, np.empty(s.size * f.size))
+    return s
 
-    def test_empty_factor_list_sorts_the_seed(self):
-        seed = np.array([0.5, 0.2, 0.3])
-        out = sorted_joint(seed, [])
-        assert list(out) == [0.2, 0.3, 0.5]
-        assert list(seed) == [0.5, 0.2, 0.3]
 
-    def test_cap_raises_before_combining(self, monkeypatch):
+# Gap lists with ties, the 800 gap whose population underflows, and none.
+GAP_LISTS = {
+    "none": [],
+    "one": [0.7],
+    "ties": [1.0] * 10,
+    "mixed": [0.5, 1.0, 1.0, 2.5, 800.0, 0.5, 2.5],
+    "frozen": [800.0] * 3 + [1.0],
+    "ladder": list(skrzypczyk_bath(11, 1.0, 1.0).gaps),
+}
+
+
+class TestBathEnergies:
+    """The bath's sorted energy array, folded one gap at a time."""
+
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(GAP_LISTS))
+    @pytest.mark.parametrize("chunk", [4, spectra._CHUNK])
+    def test_equals_the_sorted_expansion(self, parts, name, chunk):
+        gaps = np.array(GAP_LISTS[name], dtype=np.float64)
+        with streamed_sizes(parts, chunk):
+            got = spectra._bath_energies(gaps)
+        assert np.array_equal(bits(got), bits(bath_energies(BathSpec(T=1.0, gaps=gaps))))
+
+    def test_cap_raises_before_folding(self, monkeypatch):
         folds, fold = [], spectra._fold
         monkeypatch.setattr(spectra, "_fold", lambda s, f, out: folds.append(f) or fold(s, f, out))
-        factors = [np.array([0.0, 1.0])] * 8
+        monkeypatch.setattr(spectra, "DEFAULT_EXPANSION_CAP", 100)
+        state, gaps = [np.array([1.0, 0.0])], np.ones(8)
         with pytest.raises(SizeCapError) as info:
-            sorted_joint(np.zeros(2), factors, cap=100)
+            passive_energies(state, np.zeros(2), gaps, 1.0)
         assert folds == []
         assert info.value.cap == 100
-        assert sorted_joint(np.zeros(2), factors, cap=512).size == 512
+        monkeypatch.setattr(spectra, "DEFAULT_EXPANSION_CAP", 512)
+        assert len(passive_energies(state, np.zeros(2), gaps, 1.0)) == 1
         assert len(folds) == 8
 
-    def test_cap_message_for_a_huge_bath(self):
+    def test_cap_message_for_a_huge_bath(self, monkeypatch):
         # 2^20001 has 6022 decimal digits, more than Python will format.
-        factors = [np.array([0.0, 1.0])] * 20000
+        monkeypatch.setattr(spectra, "DEFAULT_EXPANSION_CAP", 1 << 26)
         with pytest.raises(SizeCapError) as info:
-            sorted_joint(np.zeros(2), factors, cap=1 << 26)
+            passive_energies([np.array([1.0, 0.0])], np.zeros(2), np.ones(20000), 1.0)
         assert info.value.size == 1 << 20001
         assert str(info.value) == (
             f"expansion of about 7.96e6020 elements exceeds the cap of {1 << 26}"
         )
 
-    def test_cap_message_states_the_full_size(self):
+    def test_cap_message_states_the_full_size(self, monkeypatch):
         # A qubit with 27 bath qubits passes the cap at the last factor but
         # one; the message still names all 2^28 elements.
-        factors = [np.array([0.0, 1.0])] * 27
+        monkeypatch.setattr(spectra, "DEFAULT_EXPANSION_CAP", 1 << 26)
         with pytest.raises(SizeCapError) as info:
-            sorted_joint(np.zeros(2), factors, cap=1 << 26)
+            passive_energies([np.array([1.0, 0.0])], np.zeros(2), np.ones(27), 1.0)
         assert info.value.size == 1 << 28
         assert str(info.value) == "expansion of 268435456 elements exceeds the cap of 67108864"
 
@@ -345,9 +364,9 @@ class TestParts:
         probs, energies, factors = inputs
         lex = expand(FactorizedEnsemble((SpectralEnsemble(probs, energies), *factors)))
         values = [f.energies for f in factors]
-        one = sorted_joint(energies, values)
+        one = fold_chain(energies, values)
         with forced_parts(parts):
-            cut = sorted_joint(energies, values)
+            cut = fold_chain(energies, values)
         assert np.array_equal(bits(cut), bits(one))
         assert np.array_equal(cut, np.sort(lex.energies))
 
@@ -370,9 +389,9 @@ class TestParts:
         ],
     )
     def test_partitioned_fold_on_ties_and_extremes(self, parts, seed, factors):
-        one = sorted_joint(np.array(seed), [np.array(f) for f in factors])
+        one = fold_chain(seed, factors)
         with forced_parts(parts):
-            cut = sorted_joint(np.array(seed), [np.array(f) for f in factors])
+            cut = fold_chain(seed, factors)
         assert np.array_equal(bits(cut), bits(one))
         assert np.all(cut[:-1] <= cut[1:])
 
@@ -424,16 +443,17 @@ class TestParts:
     def test_concurrent_callers_share_one_pool(self):
         # More callers than cores cut their folds into parts while the shared
         # pool is first created, as the threads of a ``cli --threads`` sweep do.
-        factors = [f.energies for f in bath_ensemble(skrzypczyk_bath(12, 1.0, 1.0)).factors]
-        seed = np.array([0.0, 1.0])
-        want = sorted_joint(seed, factors)
+        bath = skrzypczyk_bath(13, 1.0, 1.0)
+        want = bath_energies(bath)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with forced_parts(3), pytest.MonkeyPatch.context() as patch:
                 patch.setattr(spectra, "_executor", None)
                 with ThreadPoolExecutor(max_workers=6) as callers:
-                    futures = [callers.submit(sorted_joint, seed, factors) for _ in range(12)]
+                    futures = [
+                        callers.submit(spectra._bath_energies, bath.gaps) for _ in range(12)
+                    ]
                     results = [future.result(timeout=60) for future in futures]
                 spectra._executor.shutdown()
         finally:
@@ -452,13 +472,20 @@ def gibbs_baths(draw, max_qubits: int):
     return BathSpec(T=draw(st.sampled_from([0.3, 1.0, 4.0])), gaps=np.array(gaps))
 
 
+# The references below sort whole expanded arrays with np.sort and share no
+# code with the kernel. They add in the kernel's order, so they equal its
+# arrays bit for bit.
+
+
 def bath_energies(bath: BathSpec) -> np.ndarray:
-    return sorted_joint(np.zeros(1), [np.array([0.0, g]) for g in bath.gaps])
+    # The sorted bath energies, each added as (e_1 + e_2) + ... + e_N.
+    return np.sort(expand(bath_ensemble(bath)).energies)
 
 
 def joint_energies(levels, bath: BathSpec) -> np.ndarray:
-    # The sorted joint energies, folded as h + (e_1 + ... + e_N).
-    return sorted_joint(bath_energies(bath), [np.asarray(levels, dtype=np.float64)])
+    # The sorted joint energies, added as h + (e_1 + ... + e_N).
+    levels = np.asarray(levels, dtype=np.float64)
+    return np.sort(np.add.outer(levels, bath_energies(bath)), axis=None)
 
 
 def key_offsets(values, bath: BathSpec) -> np.ndarray:
@@ -471,7 +498,7 @@ def key_offsets(values, bath: BathSpec) -> np.ndarray:
 
 def joint_keys(values, bath: BathSpec) -> np.ndarray:
     # The sorted keys E_x + T (ln Z - ln lambda) of the nonzero eigenvalues.
-    return sorted_joint(bath_energies(bath), [key_offsets(values, bath)])
+    return np.sort(np.add.outer(key_offsets(values, bath), bath_energies(bath)), axis=None)
 
 
 def keyed_passive(values, levels, bath: BathSpec) -> float:
@@ -514,30 +541,31 @@ class TestSortedJoints:
     def test_folds_equal_the_sorted_outer_product(self, parts, inputs):
         # The joint energies, a fold into the bath's sorted array, and the
         # keys, another, are both read into the passive-energy dot in
-        # windows. A key array equals the sorted outer product of the
+        # windows. Folded whole, each equals the sorted outer product of its
         # offsets and the bath energies.
         values, levels, bath = inputs
-        lex = expand(bath_ensemble(bath))
         with forced_parts(parts):
-            joint_e = joint_energies(levels, bath)
-            keys = joint_keys(values, bath)
+            bath_e = spectra._bath_energies(bath.gaps)
+            joint_e = fold_chain(bath_e, [levels])
+            keys = fold_chain(bath_e, [key_offsets(values, bath)])
             (passive,) = passive_energies([values], levels, bath.gaps, bath.T)
-        want_e = np.sort(np.add.outer(levels, lex.energies), axis=None)
-        want_k = np.sort(np.add.outer(key_offsets(values, bath), lex.energies), axis=None)
-        assert np.array_equal(bits(joint_e), bits(want_e))
-        assert np.array_equal(bits(keys), bits(want_k))
+        assert np.array_equal(bits(bath_e), bits(bath_energies(bath)))
+        assert np.array_equal(bits(joint_e), bits(joint_energies(levels, bath)))
+        assert np.array_equal(bits(keys), bits(joint_keys(values, bath)))
         assert passive == keyed_passive(values, levels, bath)
 
     def test_cap_covers_the_largest_seed_before_the_bath_is_built(self, monkeypatch):
         gaps = np.ones(9)
         seeds = [np.array([1.0, 0.0]), np.array([0.5, 0.25, 0.25])]
         with monkeypatch.context() as patch:
-            patch.setattr(spectra, "sorted_joint", lambda *args: pytest.fail("bath built"))
+            patch.setattr(spectra, "_bath_energies", lambda *args: pytest.fail("bath built"))
             patch.setattr(spectra, "_fold", lambda *args: pytest.fail("fold made"))
+            patch.setattr(spectra, "DEFAULT_EXPANSION_CAP", 1535)
             with pytest.raises(SizeCapError) as info:
-                passive_energies(seeds, np.zeros(2), gaps, 1.0, cap=1535)
+                passive_energies(seeds, np.zeros(2), gaps, 1.0)
         assert (info.value.size, info.value.cap) == (1536, 1535)
-        assert len(passive_energies(seeds, np.zeros(3), gaps, 1.0, cap=1536)) == 2
+        monkeypatch.setattr(spectra, "DEFAULT_EXPANSION_CAP", 1536)
+        assert len(passive_energies(seeds, np.zeros(3), gaps, 1.0)) == 2
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 7, 16])
     @pytest.mark.parametrize("n", [1, 7, 14, 20])
@@ -641,7 +669,8 @@ class TestStreamedPassive:
         with streamed_sizes(parts, chunk, block):
             assert walk([values], levels, bath) == [want]
             # The in-memory fold, cut into chunks of the same size, is unchanged.
-            assert np.array_equal(bits(joint_keys(values, bath)), bits(whole))
+            folded = fold_chain(bath_energies(bath), [key_offsets(values, bath)])
+            assert np.array_equal(bits(folded), bits(whole))
 
     @pytest.mark.parametrize("parts", [1, 2, 3])
     @pytest.mark.parametrize(
