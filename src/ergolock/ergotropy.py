@@ -14,6 +14,7 @@ probabilities, window by window, with them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -21,14 +22,12 @@ from .bath import BathSpec, bath_ensemble
 from .spectra import (
     DensityOperator,
     DiagonalHamiltonian,
-    SpectralEnsemble,
     average_energy,
     compensated_dot,
     eigens,
     entropy,
     passive_energies,
     shannon_entropy,
-    state_free_energy,
 )
 
 ERGOTROPY_FLOOR = -1e-10
@@ -45,19 +44,13 @@ def _passive_energies(
     return passive_energies(values, hamiltonian.energies, bath.gaps, bath.T)
 
 
-def _average_energies(
-    systems: Sequence[DensityOperator],
-    hamiltonian: DiagonalHamiltonian,
-    bath_factors: Sequence[SpectralEnsemble],
+def _system_energies(
+    systems: Sequence[DensityOperator], hamiltonian: DiagonalHamiltonian
 ) -> list[float]:
-    # E(rho x bath) = Tr[H_S rho] + E(bath) for each state; energy is
-    # additive over the product, so the system eigenbasis never has to be
-    # materialized, and the bath's mean energy is summed once.
-    bath_energy = sum(average_energy(f) for f in bath_factors)
-    return [
-        compensated_dot(system.diagonal(), hamiltonian.energies) + bath_energy
-        for system in systems
-    ]
+    # Tr[H_S rho] of each state, from the matrix diagonal: the system
+    # eigenbasis never has to be materialized. Energy is additive over the
+    # product, so E(rho x bath) is this plus the bath's mean energy.
+    return [compensated_dot(system.diagonal(), hamiltonian.energies) for system in systems]
 
 
 def ergotropy_product(
@@ -83,10 +76,10 @@ def shared_bath_ergotropies(
     ``ergotropy_product(state, hamiltonian, bath)`` bit for bit.
     """
     passives = _passive_energies(systems, hamiltonian, bath)
-    means = _average_energies(systems, hamiltonian, bath_ensemble(bath).factors)
+    bath_energy = sum(average_energy(f) for f in bath_ensemble(bath).factors)
     values = []
-    for mean, passive in zip(means, passives):
-        value = mean - passive
+    for energy, passive in zip(_system_energies(systems, hamiltonian), passives):
+        value = energy + bath_energy - passive
         if value < ERGOTROPY_FLOOR:
             raise ArithmeticError(f"ergotropy {value:.3e} below the numerical floor")
         values.append(value)
@@ -113,22 +106,27 @@ def theorem2_check(
     exceed rhs = F(rho) - F(xi). A passive joint state has the spectrum of
     its parent, and entropy adds over a product, so its entropy is
     S(state) + sum of the bath factor entropies; no joint array is summed.
+    Raises ArithmeticError when a free energy of the hypothesis, lhs or rhs
+    is not finite: no comparison with such a value decides the theorem.
     """
     rho_passive, xi_passive = _passive_energies([rho, xi], hamiltonian, bath)
     factors = bath_ensemble(bath).factors
     bath_entropy = sum(entropy(f) for f in factors)
-    free_rho_passive = rho_passive - bath.T * (shannon_entropy(eigens(rho)) + bath_entropy)
-    free_xi_passive = xi_passive - bath.T * (shannon_entropy(eigens(xi)) + bath_entropy)
-    condition = free_xi_passive <= free_rho_passive
+    rho_entropy, xi_entropy = (shannon_entropy(eigens(s)) for s in (rho, xi))
+    free_rho_passive = rho_passive - bath.T * (rho_entropy + bath_entropy)
+    free_xi_passive = xi_passive - bath.T * (xi_entropy + bath_entropy)
 
-    rho_mean, xi_mean = _average_energies([rho, xi], hamiltonian, factors)
-    rho_ergotropy = rho_mean - rho_passive
-    xi_ergotropy = xi_mean - xi_passive
-
+    bath_energy = sum(average_energy(f) for f in factors)
+    rho_energy, xi_energy = _system_energies([rho, xi], hamiltonian)
+    rho_ergotropy = rho_energy + bath_energy - rho_passive
+    xi_ergotropy = xi_energy + bath_energy - xi_passive
+    lhs = rho_ergotropy - xi_ergotropy
+    rhs = (rho_energy - bath.T * rho_entropy) - (xi_energy - bath.T * xi_entropy)
+    if not all(map(math.isfinite, (free_rho_passive, free_xi_passive, lhs, rhs))):
+        raise ArithmeticError(
+            f"theorem 2 quantities are not all finite: passive free energies "
+            f"{free_rho_passive!r}, {free_xi_passive!r}, lhs {lhs!r}, rhs {rhs!r}"
+        )
     return Theorem2Result(
-        condition_holds=bool(condition),
-        lhs=rho_ergotropy - xi_ergotropy,
-        rhs=(
-            state_free_energy(rho, hamiltonian, bath.T) - state_free_energy(xi, hamiltonian, bath.T)
-        ),
+        condition_holds=bool(free_xi_passive <= free_rho_passive), lhs=lhs, rhs=rhs
     )

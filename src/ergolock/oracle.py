@@ -9,6 +9,7 @@ bit-identical output on every platform, and per-trial streams are keyed by
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,9 +52,30 @@ class RandomSpec:
             raise ValueError(f"unknown kind {self.kind!r}")
 
 
+@functools.cache
+def _key_type() -> type:
+    # A seed sequence whose state is the key: Philox(key=...) would first
+    # draw OS entropy for a SeedSequence that it discards. Made on first use,
+    # so that importing ergolock does not import numpy.random.
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Key(ISeedSequence):
+        __slots__ = ("words",)
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return Key
+
+
 def keyed_rng(a: int, b: int) -> np.random.Generator:
-    """Philox4x64 generator keyed by the pair of 64-bit words (a, b)."""
-    return np.random.Generator(np.random.Philox(key=np.array([a, b], dtype=np.uint64)))
+    """Philox4x64 generator keyed by the pair of 64-bit words (a, b): the
+    state of ``Generator(Philox(key=[a, b]))``, counter and buffer zero."""
+    key = _key_type()(np.array([a, b], dtype=np.uint64))
+    return np.random.Generator(np.random.Philox(key))
 
 
 def trial_seed(master_seed: int, trial: int) -> int:
@@ -119,13 +141,15 @@ def dense_joint(
 
 
 def dense_ergotropy(state: DensityOperator, hamiltonian: DiagonalHamiltonian) -> float:
-    """Ergotropy by full eigendecomposition plus the sorted pairing."""
+    """Ergotropy by full eigendecomposition (the spectrum that
+    ``DensityOperator`` validation took from the whole matrix) plus the
+    sorted pairing."""
     if state.dim != hamiltonian.dim:
         raise ValueError("state and Hamiltonian dimensions differ")
     if state.dim > DENSE_DIM_CAP:
         raise SizeCapError(state.dim, DENSE_DIM_CAP)
     mean_energy = compensated_dot(state.diagonal(), hamiltonian.energies)
-    descending = np.linalg.eigvalsh(state.entries)[::-1]
+    descending = state.eigenvalues[::-1]
     passive = compensated_dot(descending, np.sort(hamiltonian.energies))
     return mean_energy - passive
 

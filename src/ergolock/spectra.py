@@ -200,31 +200,32 @@ class DensityOperator:
     Tolerances: entries finite, Hermiticity and trace to 1e-12, eigenvalues
     above -1e-10. Construction validates all of them, so a held instance is
     always a state. The ascending eigenvalues the validation computes are
-    kept, so a state is diagonalised once, however often :func:`eigens`
+    kept as ``eigenvalues`` (unclipped, read-only), so a state is
+    diagonalised once, however often :func:`eigens` or the dense oracle
     reads it.
     """
 
     entries: np.ndarray
-    _eigenvalues: np.ndarray = field(init=False, repr=False)
+    eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         entries = np.array(self.entries, dtype=np.complex128, copy=True)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError("density operator must be a square matrix")
-        if not np.all(np.isfinite(entries)):
+        if not np.isfinite(entries).all():
             raise ValueError("density operator entries must be finite")
-        herm_defect = float(np.max(np.abs(entries - entries.conj().T)))
+        herm_defect = float(np.abs(entries - entries.conj().T).max())
         if herm_defect > HERMITIAN_ATOL:
             raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.3e})")
-        trace_defect = abs(complex(np.trace(entries)) - 1.0)
+        trace_defect = abs(complex(entries.trace()) - 1.0)
         if trace_defect > TRACE_ATOL:
             raise ValueError(f"trace differs from 1 by {trace_defect:.3e}")
         eigenvalues = np.linalg.eigvalsh(entries)
-        min_eig = float(eigenvalues.min())
+        min_eig = float(eigenvalues[0])  # eigvalsh is ascending
         if min_eig < EIGENVALUE_FLOOR:
             raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {min_eig:.3e})")
         object.__setattr__(self, "entries", _readonly(entries))
-        object.__setattr__(self, "_eigenvalues", _readonly(eigenvalues))
+        object.__setattr__(self, "eigenvalues", _readonly(eigenvalues))
 
     @property
     def dim(self) -> int:
@@ -572,7 +573,7 @@ def eigens(rho: DensityOperator) -> np.ndarray:
     most 1e-10 of numerical slack; the clipped spectrum must still sum to 1
     within 1e-9.
     """
-    values = rho._eigenvalues[::-1]
+    values = rho.eigenvalues[::-1]
     if float(values.min()) < EIGENVALUE_FLOOR:
         raise ValueError(f"eigenvalue {values.min():.3e} below tolerance")
     if float(values.max()) > 1.0 + 1e-10:

@@ -7,12 +7,13 @@ offset: trial i of a check draws all its randomness from
 arguments. A per-trial function builds one instance and returns
 `(violation, failed)` under the check's own tolerance, or None when the
 instance falls outside a conditional check's hypothesis; an ArithmeticError
-counts as a failure.
+or a violation that is not finite counts as a failure.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from typing import Callable
 
 import numpy as np
@@ -79,10 +80,12 @@ def _run_check(
     name: str, offset: int, trials: int, seed: int, trial: Callable, conditional: bool = False
 ) -> dict:
     """Summary of ``trial(i, child, rng)`` over i < trials. ``worst_violation``
-    is the largest violation over the trials that returned one (0.0 if none
-    did); a conditional check also counts those trials as ``applicable``."""
+    is the largest finite violation over the trials that returned one (0.0
+    if none did), so the summary is valid JSON; a conditional check also
+    counts those trials as ``applicable``. A NaN or infinite violation is a
+    failure: ``violation > tol`` is False for a NaN."""
     failures = applicable = 0
-    worst = -np.inf
+    worst = -math.inf
     for i in range(trials):
         child = trial_seed(seed, offset + i)
         try:
@@ -94,14 +97,23 @@ def _run_check(
             continue
         violation, failed = outcome
         applicable += 1
+        if not math.isfinite(violation):
+            failures += 1
+            continue
         worst = max(worst, violation)
         if failed:
             failures += 1
     summary = {"name": name, "trials": trials, "failures": failures,
-               "worst_violation": float(worst) if applicable else 0.0}
+               "worst_violation": float(worst) if worst > -math.inf else 0.0}
     if conditional:
         summary["applicable"] = applicable
     return summary
+
+
+def _largest(*terms: float) -> float:
+    # max() drops a NaN that is not its first argument; _run_check must see
+    # it to count the trial as failed.
+    return math.nan if any(map(math.isnan, terms)) else max(terms)
 
 
 def _resource_and_tight(rho, hamiltonian, weight, bath: BathSpec) -> list[float]:
@@ -130,7 +142,7 @@ def _theorem1(i: int, child: int, rng: np.random.Generator):
     unitary = random_unitary(RandomSpec(seed=child, dim=dim, kind=UNITARY_HAAR))
     result = theorem1_work(unitary, sigma, hamiltonian)
     optimal = theorem1_work(passivizing_unitary(sigma, hamiltonian), sigma, hamiltonian)
-    violation = max(
+    violation = _largest(
         abs(result.work - (initial - result.residual_ergotropy)),
         result.work - initial,
         abs(optimal.work - initial),
@@ -145,7 +157,7 @@ def _chain(i: int, child: int, rng: np.random.Generator):
     bath = _random_bath(rng, temperature, 3)
     resource, tight = _resource_and_tight(rho, hamiltonian, _random_weight(rng), bath)
     ceiling = free_energy_bound(rho, hamiltonian, temperature)
-    violation = max(tight - resource, resource - ceiling)
+    violation = _largest(tight - resource, resource - ceiling)
     return violation, violation > CHAIN_TOL
 
 
@@ -189,7 +201,7 @@ def _channel_invariants(i: int, child: int, rng: np.random.Generator):
         - compensated_dot(rho.diagonal(), hamiltonian.energies)
     )
     entropy_drop = shannon_entropy(eigens(rho)) - shannon_entropy(eigens(sigma))
-    violation = max(energy_shift, entropy_drop)
+    violation = _largest(energy_shift, entropy_drop)
     return violation, energy_shift > ENERGY_TOL or entropy_drop > ENTROPY_TOL
 
 

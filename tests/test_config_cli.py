@@ -16,6 +16,7 @@ from ergolock import (
     spectra,
 )
 from ergolock.config import ConfigError, load_config, parse_config
+from ergolock import verify
 from ergolock.verify import run_verification
 from ergolock.cli import CSV_COLUMNS, emit_csv, emit_json, main, run_report, run_sweep
 
@@ -521,3 +522,32 @@ class TestMutationSensitivity:
         by_name = {c["name"]: c for c in summary["checks"]}
         assert by_name["fast_vs_dense_ergotropy"]["failures"] > 0
         assert by_name["inequality_chain"]["failures"] > 0
+
+    def test_nan_passive_energy_fails_verification(self, monkeypatch):
+        # violation > tol is False for a NaN, max(-inf, nan) is -inf, and a
+        # NaN hypothesis is false: each must still count as a failure, and
+        # the summary must stay strict JSON.
+        passive_energies = ERGOTROPY_MODULE.passive_energies
+
+        def nan_energies(*args):
+            return [math.nan for _ in passive_energies(*args)]
+
+        monkeypatch.setattr(ERGOTROPY_MODULE, "passive_energies", nan_energies)
+        summary = run_verification(trials=8, seed=42)
+        assert summary["pass"] is False
+        by_name = {c["name"]: c for c in summary["checks"]}
+        for name in ("fast_vs_dense_ergotropy", "inequality_chain", "theorem2_conditional",
+                     "timestate_locked_zero"):
+            assert by_name[name]["failures"] == 8, name
+        assert all(math.isfinite(c["worst_violation"]) for c in summary["checks"])
+        json.dumps(summary, allow_nan=False)
+
+    def test_nan_in_a_later_max_term_fails_verification(self, monkeypatch):
+        # max(x, nan) is x: a NaN ceiling must not vanish from the chain's
+        # violation.
+        monkeypatch.setattr(verify, "free_energy_bound", lambda *args: math.nan)
+        summary = run_verification(trials=8, seed=42)
+        assert summary["pass"] is False
+        chain = next(c for c in summary["checks"] if c["name"] == "inequality_chain")
+        assert chain["failures"] == 8
+        assert math.isfinite(chain["worst_violation"])

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -22,9 +23,13 @@ from ergolock.spectra import (
     gibbs_ensemble,
     expand,
     shannon_entropy,
+    state_free_energy,
 )
 
 from helpers import passive_state
+
+# ``ergolock.ergotropy`` is the re-exported function, not the submodule.
+ERGOTROPY_MODULE = importlib.import_module("ergolock.ergotropy")
 
 
 # Coherence survival factor of the worked example: exp(-omega^2 / 8 sigma^2)
@@ -215,6 +220,33 @@ class TestTheorem2Kernel:
             result = theorem2_check(rho, xi, h, bath)
             expected = ergotropy_product(rho, h, bath) - ergotropy_product(xi, h, bath)
             assert result.lhs == expected, seed
+
+    def test_rhs_is_the_free_energy_difference_bit_for_bit(self):
+        for seed in range(20):
+            rho, h, bath = _random_instance(seed, max_qubits=6)
+            xi = random_state(RandomSpec(seed=seed + 1000, dim=rho.dim, kind=PURE_HAAR))
+            result = theorem2_check(rho, xi, h, bath)
+            expected = state_free_energy(rho, h, bath.T) - state_free_energy(xi, h, bath.T)
+            assert result.rhs == expected, seed
+
+    def test_each_entropy_is_computed_once(self, monkeypatch, plus_state, qubit_h, n1_bath):
+        # Counted wherever it is looked up, state_free_energy included.
+        calls = []
+        for module in (ERGOTROPY_MODULE, spectra):
+            monkeypatch.setattr(module, "shannon_entropy",
+                                lambda p: calls.append(1) or shannon_entropy(p))
+        theorem2_check(plus_state, plus_state, qubit_h, n1_bath)
+        assert len(calls) == 2 + len(bath_ensemble(n1_bath).factors)  # states, bath factors
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_passive_energy_raises(self, monkeypatch, value, plus_state, qubit_h,
+                                              n1_bath):
+        # A NaN makes the hypothesis false; it must not read as "not
+        # applicable".
+        monkeypatch.setattr(ERGOTROPY_MODULE, "passive_energies",
+                            lambda values, *args: [value] * len(values))
+        with pytest.raises(ArithmeticError, match="not all finite"):
+            theorem2_check(plus_state, plus_state, qubit_h, n1_bath)
 
     def test_additive_passive_entropy_matches_the_joint_sum(self):
         # A passive joint state has the spectrum of rho x bath, whose entropy

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,8 +21,8 @@ from ergolock import (
 )
 from ergolock import oracle
 from ergolock.ergotropy import ergotropy_product
-from ergolock.oracle import trial_seed
-from ergolock.spectra import gibbs_ensemble
+from ergolock.oracle import keyed_rng, trial_seed
+from ergolock.spectra import compensated_dot, gibbs_ensemble
 
 MIXED = "mixed-trace-normalized"
 PURE = "pure-haar"
@@ -68,6 +73,27 @@ class TestRandomGeneration:
         assert trial_seed(42, 0) == trial_seed(42, 0)
         assert trial_seed(42, 0) != trial_seed(42, 1)
         assert trial_seed(42, 0) != trial_seed(43, 0)
+
+
+class TestKeyedRng:
+    @pytest.mark.parametrize("a, b", [(0, 0), (2**64 - 1, 2**64 - 1), (7, 1)])
+    def test_matches_a_philox_keyed_generator(self, a, b):
+        want = np.random.Generator(np.random.Philox(key=np.array([a, b], dtype=np.uint64)))
+        got = keyed_rng(a, b)
+        np.testing.assert_equal(got.bit_generator.state, want.bit_generator.state)
+        assert got.integers(0, 1 << 63, dtype=np.uint64) == want.integers(
+            0, 1 << 63, dtype=np.uint64
+        )
+        assert np.array_equal(got.standard_normal(9), want.standard_normal(9))
+        assert np.array_equal(got.uniform(0.0, 3.0, 5), want.uniform(0.0, 3.0, 5))
+
+    def test_import_leaves_numpy_random_unloaded(self):
+        # The keyed seed sequence is defined on first use, so importing the
+        # package does not pay for importing numpy.random.
+        src = Path(oracle.__file__).resolve().parents[1]
+        code = "import sys, ergolock; sys.exit('numpy.random' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestDenseJoint:
@@ -128,6 +154,30 @@ class TestDenseErgotropy:
             fast = ergotropy_product(rho, hamiltonian, bath)
             joint = dense_joint(rho, hamiltonian, bath)
             assert abs(fast - dense_ergotropy(joint.state, joint.hamiltonian)) < 1e-9
+
+    def test_equals_the_eigvalsh_formula_bit_for_bit(self):
+        # The spectrum kept by DensityOperator is eigvalsh of the same
+        # entries, so reading it changes no bit of the oracle's value.
+        def explicit(state, hamiltonian):
+            mean = compensated_dot(state.diagonal(), hamiltonian.energies)
+            descending = np.linalg.eigvalsh(state.entries)[::-1]
+            return mean - compensated_dot(descending, np.sort(hamiltonian.energies))
+
+        for i in range(30):
+            child = trial_seed(999, i)
+            rng = keyed_rng(child, 0)
+            dim = int(rng.integers(1, 9))
+            kind = PURE if i % 2 else MIXED
+            rho = random_state(RandomSpec(seed=child, dim=dim, kind=kind))
+            hamiltonian = DiagonalHamiltonian(rng.uniform(0.0, 3.0, dim))
+            assert dense_ergotropy(rho, hamiltonian) == explicit(rho, hamiltonian), i
+            qubits = int(rng.integers(1, (64 // dim).bit_length()))  # dim * 2^qubits <= 64
+            bath = custom_bath(rng.uniform(0.3, 2.0), rng.uniform(0.3, 2.0, qubits))
+            joint = dense_joint(rho, hamiltonian, bath)
+            assert joint.state.dim <= 64
+            assert dense_ergotropy(joint.state, joint.hamiltonian) == explicit(
+                joint.state, joint.hamiltonian
+            ), i
 
 
 class TestTheorem1:
