@@ -3,7 +3,8 @@ ceiling, plus the infinite-bath limit of the locked energy."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import asdict, astuple, dataclass
 
 from .bath import BathSpec
 from .ergotropy import ergotropy_product, shared_bath_ergotropies
@@ -27,8 +28,8 @@ CHAIN_SLACK = 1e-9
 class BoundReport:
     """All headline quantities for one (state, weight, bath) point.
 
-    Construction enforces the chain 0 <= tight <= resource <= free-energy
-    bound (within numerical slack) and the identity
+    Construction enforces finite values, the chain 0 <= tight <= resource
+    <= free-energy bound (within numerical slack) and the identity
     locked = resource - tight, so an instance is internally consistent.
     """
 
@@ -39,6 +40,8 @@ class BoundReport:
     thermo_limit_locked: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, astuple(self))):
+            raise ValueError(f"bound report values are not all finite: {astuple(self)!r}")
         if abs(self.locked_energy - (self.resource_ergotropy - self.tight_bound)) > 1e-10:
             raise ValueError("locked energy is inconsistent with resource - tight")
         if self.locked_energy < LOCKED_FLOOR:

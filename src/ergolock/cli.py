@@ -2,7 +2,8 @@
 random verification suite.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 size cap hit (including sweeps with capped rows).
+3 size cap hit (including sweeps with capped rows), 4 numerical failure (a
+report or sweep value not finite or off the bound chain; nothing written).
 """
 
 from __future__ import annotations
@@ -224,6 +225,10 @@ def main(argv: list[str] | None = None) -> int:
     except SizeCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3
+    except (ArithmeticError, ValueError) as exc:
+        # After ConfigError, a ValueError subclass: a guard on the values.
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 4
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2

@@ -73,13 +73,16 @@ def shared_bath_ergotropies(
 
     The states share the joint energy multiset, so each window of it is
     sorted once. Each value equals
-    ``ergotropy_product(state, hamiltonian, bath)`` bit for bit.
+    ``ergotropy_product(state, hamiltonian, bath)`` bit for bit. Raises
+    ArithmeticError when a value is not finite or below the numerical floor.
     """
     passives = _passive_energies(systems, hamiltonian, bath)
     bath_energy = sum(average_energy(f) for f in bath_ensemble(bath).factors)
     values = []
     for energy, passive in zip(_system_energies(systems, hamiltonian), passives):
         value = energy + bath_energy - passive
+        if not math.isfinite(value):
+            raise ArithmeticError(f"ergotropy {value!r} is not finite")
         if value < ERGOTROPY_FLOOR:
             raise ArithmeticError(f"ergotropy {value:.3e} below the numerical floor")
         values.append(value)

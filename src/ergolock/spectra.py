@@ -9,12 +9,14 @@ so :func:`passive_energies` builds the bath's sorted energy levels once,
 folding in one qubit gap at a time as a linear merge of two sorted runs. It
 keys both joint streams by that one array and walks them in
 rank-aligned, cache-sized windows: no joint-sized array is held. One planner
-(``_stream``) cuts a fold and a walk alike at exact pivot ranks. A large
-fold is cut into one part per CPU in the process's affinity mask, and a
-large walk into (window, state) cells shared out over those CPUs, with the
-same result bit for bit. :func:`expand` keeps the lexicographic joint order
-for the dense oracle. Small non-diagonal system states are carried as dense
-matrices (:class:`DensityOperator`).
+(``_stream``) cuts a fold and a walk alike at exact pivot ranks. Each piece
+is a stable merge of sorted runs, done on the sums' int64 bit patterns
+where none can be negative, -0.0 or NaN, and not at all for one such run.
+A large fold is cut into one part per CPU in the process's affinity mask,
+and a large walk into (window, state) cells shared out over those CPUs by
+estimated cost, with the same result bit for bit. :func:`expand` keeps the
+lexicographic joint order for the dense oracle. Small non-diagonal system
+states are carried as dense matrices (:class:`DensityOperator`).
 
 Units: hbar = k_B = 1, natural logarithm throughout.
 """
@@ -28,7 +30,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -55,6 +57,16 @@ _CHUNK = 1 << 17
 # caller: on a 2-core Xeon guest, 2^18 is the smallest fold that two parts
 # sort faster than one (crossover_fold_ms in BENCH_parallel_fold.json).
 _PARALLEL_MIN = 1 << 18
+
+# A stream of fewer values sorts as float64, as all of verify's do: there
+# the int64 sort gains little, less than its sign check and view cost.
+_KEYED_MIN = 1 << 12
+
+# Relative cost per rank of a walk cell whose keys are one run (a write and
+# its block sums) or a merge of several, from one-window timings at N = 22
+# (window_ms in BENCH_int_keys.json). A window's energies cost what a cell
+# of as many runs does, less the block sums.
+_CELL_COST = (1, 4)
 
 # Parts per large fold or walk: the CPUs this process may run on.
 _PARTS = (
@@ -100,9 +112,19 @@ def _parts(size: int) -> int:
     return 1 if size < _PARALLEL_MIN else _PARTS
 
 
-def _share(count: int, k: int, parts: int) -> range:
-    # Part k's contiguous share of count items.
-    return range(count * k // parts, count * (k + 1) // parts)
+def _split(costs: list, parts: int) -> list:
+    # Bounds of parts contiguous runs of items: part k takes items bounds[k]
+    # to bounds[k + 1], each inner bound where the running cost comes nearest
+    # to k / parts of the total. So every part's cost is within the largest
+    # item's of total / parts, and on two parts the two differ by at most
+    # that.
+    sums = list(accumulate(costs, initial=0))
+    bounds = [0]
+    for k in range(1, parts):
+        target = sums[-1] * k / parts
+        j = bisect_left(sums, target)
+        bounds.append(j - (target - sums[j - 1] < sums[j] - target))
+    return [*bounds, len(costs)]
 
 
 def _run_parts(task: Callable[[int, int], Any], parts: int) -> list:
@@ -391,14 +413,17 @@ def passive_energies(
     sorted keys (:func:`_window`) become probabilities ``exp(key * -1/T)``
     block by block, and the block partials are taken from their products
     with the window's sorted energies. Each part of :func:`_run_parts` takes
-    a contiguous run of cells in window-major order, and sorts a window's
+    a contiguous run of cells in window-major order, of about an equal share
+    of their estimated cost (:func:`_cell_costs`), and sorts a window's
     energies once, at its first cell of that window with products. A walk of
     at most ``_SUM_BLOCK`` ranks, whose sums hold the GIL, runs as one part.
     Ranks past a state's nonzero products (a zero eigenvalue's) hold ``+0.0``
     products in their last block, and later blocks are left out. The value
     equals ``compensated_dot`` over the whole sorted arrays, the keys mapped
-    the same way, bit for bit. Every state's full joint size is checked
-    against the cap before anything is built.
+    the same way, bit for bit, however the cells are shared out: each
+    state's partials are summed with ``math.fsum``. The keys, and energies
+    of non-negative levels, are merged as int64 bit patterns. Every state's
+    full joint size is checked against the cap before anything is built.
     """
     _check_cap([max(map(len, [levels, *eigenvalues])), *[2] * len(gaps)])
     # Every energy and T are scaled by the exact power of two that keeps T
@@ -419,6 +444,10 @@ def passive_energies(
         states.append(_stream(bath_energies, offsets, width))
     n = levels.size * bath_energies.size
     cells = -(-n // width) * len(states)
+    # A walk of at most _SUM_BLOCK ranks sums each cell with math.fsum over
+    # a Python list, which holds the GIL, so it runs as one part.
+    parts = max(1, min(_parts(n * len(states) if n > _SUM_BLOCK else 0), cells))
+    bounds = [0, cells] if parts == 1 else _split(_cell_costs(energies, states, width, n), parts)
 
     def part(k: int, parts: int) -> list:
         sums = [[] for _ in states]
@@ -426,7 +455,7 @@ def passive_energies(
         k_buffer = np.empty(max((state.largest for state in states), default=0))
         block = np.empty(min(n, _SUM_BLOCK))
         sorted_window = None
-        for cell in _share(cells, k, parts):
+        for cell in range(bounds[k], bounds[k + 1]):
             window, i = divmod(cell, len(states))
             lo, hi = window * width, min(n, (window + 1) * width)
             m = states[i].ranks[-1]
@@ -437,11 +466,23 @@ def passive_energies(
                 sums[i] += _block_sums(keys, e, -1.0 / temperature, hi - lo, n, block)
         return sums
 
-    # A walk of at most _SUM_BLOCK ranks sums each cell with math.fsum over
-    # a Python list, which holds the GIL, so it runs as one part.
-    work = n * len(states) if n > _SUM_BLOCK else 0
-    parts = _run_parts(part, max(1, min(_parts(work), cells)))
+    parts = _run_parts(part, parts)
     return [scale * math.fsum(chain.from_iterable(sums)) for sums in zip(*parts)]
+
+
+def _cell_costs(energies: _Stream, states: list, width: int, n: int) -> list:
+    # Estimated cost of each (window, state) cell in window-major order: its
+    # products at _CELL_COST, plus the window's energies at the first cell
+    # with products, where a part sorts them.
+    costs = []
+    for lo in range(0, n, width):
+        hi = min(n, lo + width)
+        energy = (hi - lo) * (_CELL_COST[len(energies.values) > 1] - 1)
+        for state in states:
+            products = max(0, min(hi, state.ranks[-1]) - lo)
+            costs.append(products * _CELL_COST[len(state.values) > 1] + (energy if products else 0))
+            energy = 0 if products else energy
+    return costs
 
 
 def _fold(s: np.ndarray, f: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -454,23 +495,27 @@ def _fold(s: np.ndarray, f: np.ndarray, out: np.ndarray) -> np.ndarray:
     # pivot bounds a chunk of about _CHUNK values, at least one per part
     # where the values allow, and each chunk is written and sorted in its
     # own slice of out, so a merge buffer is at most about half a chunk.
-    # Each part takes a contiguous run of chunks. All copies of a value (a
-    # -0.0 and a 0.0 included) fall in one chunk, in the order one
-    # whole-array stable sort would meet them, so the result is the same
-    # array bit for bit, however it is cut.
+    # Each part takes a contiguous run of chunks, as many as _split gives
+    # it. All copies of a value (a -0.0 and a 0.0 included) fall in one
+    # chunk, in the order one whole-array stable sort would meet them, so
+    # the result is the same array bit for bit, however it is cut, and
+    # whether it is sorted as floats or, where _stream finds no value below
+    # +0.0, as int64 bit patterns.
     parts = _parts(out.size)
     stream = _stream(s, f, min(_CHUNK, -(-out.size // parts)))
     ranks = stream.ranks
     if len(ranks) == 2:
         return _write_chunk(stream, 0, 1, out)
     chunks = len(ranks) // 16
+    parts = min(parts, chunks)
+    bounds = _split([1] * chunks, parts)
 
     def part(k: int, parts: int) -> None:
-        for c in _share(chunks, k, parts):
+        for c in range(bounds[k], bounds[k + 1]):
             a, b = 16 * c, 16 * c + 16
             _write_chunk(stream, a, b, out[ranks[a] : ranks[b]])
 
-    _run_parts(part, min(parts, chunks))
+    _run_parts(part, parts)
     return out
 
 
@@ -479,21 +524,33 @@ class _Stream(NamedTuple):
     # Row j of edges holds each run's edge at pivot j (see _run_pieces), and
     # ranks[j] the count of sums below that pivot; the first and last
     # pivots stand for -inf and +inf. A window of width ranks sorts at most
-    # largest values.
+    # largest values. A piece is sorted as key: int64 where no sum can be
+    # negative, -0.0 or NaN and there are at least _KEYED_MIN, float64
+    # elsewhere.
     s: np.ndarray
     values: list
     edges: list
     ranks: list
     largest: int
+    key: type
 
 
 def _stream(s: np.ndarray, f: np.ndarray, width: int) -> _Stream:
     # A fold of more than width values is cut by 16 pivots per width ranks,
     # read off a strided sample of about 16 values per pivot gap and at
     # least 2^11; _run_pieces places each pivot in every run exactly.
+    # Where every value and s[0] is +0.0 or above and s holds no NaN, each
+    # sum c + x is too (+0.0 + -0.0 is +0.0), and such doubles sort as their
+    # bit patterns do, ties included: an int64 sort skips the NaN-aware
+    # float compare and gives the same bits.
     size = f.size * s.size
+    values = f.tolist()
+    keyed = size >= _KEYED_MIN and not math.isnan(s[-1]) and all(
+        x >= 0.0 and math.copysign(1.0, x) > 0.0 for x in [float(s[0]), *values]
+    )
+    key = np.int64 if keyed else np.float64
     if size <= width:
-        return _Stream(s, f.tolist(), [[0] * f.size, [s.size] * f.size], [0, size], size)
+        return _Stream(s, values, [[0] * f.size, [s.size] * f.size], [0, size], size, key)
     count = 16 * -(-size // width)
     stride = max(1, size // max(16 * count, 1 << 11))
     sample = np.sort(np.add.outer(f, s[::stride]), axis=None)
@@ -502,7 +559,7 @@ def _stream(s: np.ndarray, f: np.ndarray, width: int) -> _Stream:
     # A window reaches back to a pivot less than one gap below it, and on
     # to one less than one gap above it.
     gap = max(b - a for a, b in zip(ranks, ranks[1:]))
-    return _Stream(s, f.tolist(), edges.tolist(), ranks, min(size, width + 2 * gap))
+    return _Stream(s, values, edges.tolist(), ranks, min(size, width + 2 * gap), key)
 
 
 def _window(stream: _Stream, lo: int, hi: int, buffer: np.ndarray) -> np.ndarray:
@@ -519,13 +576,18 @@ def _window(stream: _Stream, lo: int, hi: int, buffer: np.ndarray) -> np.ndarray
 
 def _write_chunk(stream: _Stream, a: int, b: int, out: np.ndarray) -> np.ndarray:
     # Writes each run's piece between pivots a and b into out in run order
-    # and sorts it stably, so ties keep the order one whole-array stable
-    # sort would give them.
+    # and sorts it stably as the stream's key, so ties keep the order one
+    # whole-array stable sort would give them. One run's piece c + s[lo:hi]
+    # is sorted already, as x -> x + c is monotone; on an int64 key, where
+    # no sum is NaN, it is not sorted again.
     pos = 0
     for c, lo, hi in zip(stream.values, stream.edges[a], stream.edges[b]):
         np.add(c, stream.s[lo:hi], out=out[pos : pos + hi - lo])
         pos += hi - lo
-    out.sort(kind="stable")
+    if stream.key is np.float64:
+        out.sort(kind="stable")
+    elif len(stream.values) > 1:
+        out.view(np.int64).sort(kind="stable")
     return out
 
 

@@ -214,6 +214,26 @@ class TestBoundReport:
                 thermo_limit_locked=0.0,
             )
 
+    @pytest.mark.parametrize("field", list(WORKED))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_report_is_rejected(self, field, bad):
+        # Every chain comparison is False for a NaN: the guard must not be
+        # one of them.
+        with pytest.raises(ValueError, match="not all finite"):
+            BoundReport(**{**WORKED, field: bad})
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_non_finite_passive_energy_is_an_arithmetic_error(
+        self, monkeypatch, plus_state, qubit_h, n1_bath, unit_gaussian, bad
+    ):
+        passive_energies = ERGOTROPY_MODULE.passive_energies
+        monkeypatch.setattr(ERGOTROPY_MODULE, "passive_energies",
+                            lambda *args: [bad for _ in passive_energies(*args)])
+        with pytest.raises(ArithmeticError, match="not finite"):
+            bound_report(plus_state, qubit_h, unit_gaussian, n1_bath)
+        with pytest.raises(ArithmeticError, match="not finite"):
+            ergotropy_product(plus_state, qubit_h, n1_bath)
+
 
 class TestBoundReports:
     """The shared-bath kernel: every report of a weight list equals the

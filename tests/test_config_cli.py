@@ -551,3 +551,20 @@ class TestMutationSensitivity:
         chain = next(c for c in summary["checks"] if c["name"] == "inequality_chain")
         assert chain["failures"] == 8
         assert math.isfinite(chain["worst_violation"])
+
+    @pytest.mark.parametrize("command", ["report", "sweep"])
+    def test_nan_passive_energy_exits_four_and_writes_nothing(
+        self, monkeypatch, tmp_path, capsys, command
+    ):
+        # A NaN fails every chain comparison silently: the report or sweep
+        # must stop with a one-line message, not write NaN into its output.
+        passive_energies = ERGOTROPY_MODULE.passive_energies
+        monkeypatch.setattr(ERGOTROPY_MODULE, "passive_energies",
+                            lambda *args: [math.nan for _ in passive_energies(*args)])
+        config = CONFIGS / ("n1_report.json" if command == "report" else "weight_width_sweep.json")
+        out = tmp_path / "out.json"
+        code = main([command, "--config", str(config), "--seed", "42", "--out", str(out)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1, err
+        assert not out.exists()

@@ -610,10 +610,12 @@ class TestSortedJoints:
 @contextlib.contextmanager
 def streamed_sizes(parts: int, chunk: int, block: int = spectra._SUM_BLOCK):
     """Cut every fold into ``parts`` parts and chunks of about ``chunk``
-    elements, and every sum into blocks of ``block``."""
+    elements, and every sum into blocks of ``block``; sort every stream of
+    non-negative sums, however small, as int64."""
     with forced_parts(parts), pytest.MonkeyPatch.context() as patch:
         patch.setattr(spectra, "_CHUNK", chunk)
         patch.setattr(spectra, "_SUM_BLOCK", block)
+        patch.setattr(spectra, "_KEYED_MIN", 0)
         yield
 
 
@@ -799,9 +801,10 @@ class TestStreamedPassive:
 
     @pytest.mark.parametrize("parts", [2, 3])
     def test_part_starting_on_a_cell_without_products(self, parts):
-        # Two windows of 8 ranks, cells (0, A), (0, B), (1, A), (1, B): the
-        # last part starts on (1, A), whose 8 products all lie in window 0,
-        # and must still sort window 1's energies for (1, B).
+        # Two windows of 8 ranks, cells (0, A), (0, B), (1, A), (1, B) of
+        # estimated costs 32, 32, 0 and 56: at two parts the last part
+        # starts on (1, A), whose 8 products all lie in window 0, and must
+        # still sort window 1's energies for (1, B).
         bath = custom_bath(1.0, [0.5, 1.0, 2.0])
         levels = np.array([0.0, 1.0])
         states = [np.array([1.0, 0.0]), np.array([0.5, 0.5])]
@@ -810,6 +813,27 @@ class TestStreamedPassive:
             want = [keyed_passive(values, levels, bath) for values in states]
             got = walk(states, levels, bath)
         assert np.array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("parts", [1, 2, 3, 4, 5])
+    def test_pure_and_mixed_states_at_the_real_block_size(self, parts):
+        # Three levels on 15 bath qubits: 3 * 2^15 ranks in windows of 2^16.
+        # The pure state's 2^15 products end halfway through window 0 and
+        # the rank-2 state's 2^16 at its end, so the cells' costs differ
+        # and the cost split cuts them unlike a split by count.
+        bath = skrzypczyk_bath(15, 1.0, 1.0)
+        levels = np.array([0.0, 0.6, 1.3])
+        states = [
+            np.array([1.0, 0.0, 0.0]),
+            np.array([0.5, 0.3, 0.2]),
+            np.array([0.7, 0.3, 0.0]),
+            eigens(random_state(RandomSpec(seed=9, dim=3, kind=MIXED_TRACE_NORMALIZED))),
+        ]
+        with streamed_sizes(1, 1 << 16):
+            one = walk(states, levels, bath)
+        with streamed_sizes(parts, 1 << 16):
+            got = walk(states, levels, bath)
+        assert np.array_equal(bits(got), bits(one))
+        assert one[:2] == [keyed_passive(values, levels, bath) for values in states[:2]]
 
     @pytest.mark.parametrize("exponent", [1023, -1060])
     def test_extreme_temperatures_scale_exactly(self, exponent):
@@ -873,9 +897,13 @@ class TestStreamedPassive:
         assert peak < 16 << 20, peak
 
 
-# Stream inputs: ties, signed zeros, negative values and subnormals.
+# 1e308 + 1e308 overflows to inf, on the caller and on pool threads alike.
+OVERFLOW = pytest.mark.filterwarnings("ignore:overflow encountered in add:RuntimeWarning")
+
+# Stream inputs: ties, signed zeros, negative values, subnormals, and sums
+# that overflow to inf.
 STREAM_VALUES = st.sampled_from(
-    [-3.0, -1.0, -0.0, 0.0, 5e-324, 1e-300, 1e-200, 0.5, 0.5, 1.0, 2.0]
+    [-3.0, -1.0, -0.0, 0.0, 5e-324, 1e-300, 1e-200, 0.5, 0.5, 1.0, 2.0, 1e308, math.inf]
 )
 
 
@@ -883,6 +911,7 @@ class TestStreamWindows:
     """A stream, planned as a fold plans it, gives the values of the stably
     sorted fold at any rank range, bit for bit, and so does the fold."""
 
+    @OVERFLOW
     @pytest.mark.parametrize("parts", [1, 2, 3])
     @settings(max_examples=150, deadline=None)
     @given(
@@ -912,3 +941,127 @@ class TestStreamWindows:
                     got = spectra._window(stream, lo, hi, np.empty(size))
                     assert np.array_equal(bits(got), bits(want[lo:hi])), (lo, hi)
             assert np.array_equal(bits(spectra._fold(s, f, np.empty(size))), bits(want))
+
+
+# Non-negative stream values with a clear sign bit: ties, subnormals, and
+# sums that overflow to inf.
+KEYED_VALUES = st.sampled_from([0.0, 5e-324, 1e-300, 0.5, 0.5, 1.0, 1e308, math.inf])
+
+
+class TestIntegerKeys:
+    """A stream whose sums are all +0.0 or above sorts them as int64 bit
+    patterns, with the bits of the float sort."""
+
+    def streams(self, monkeypatch) -> list:
+        made, stream = [], spectra._stream
+
+        def recording(s, f, width):
+            made.append(stream(s, f, width))
+            return made[-1]
+
+        monkeypatch.setattr(spectra, "_stream", recording)
+        return made
+
+    def test_walk_streams_are_int64_on_non_negative_levels(self, monkeypatch):
+        # The bath folds [0.0, g], the energies of levels >= 0 and the keys
+        # T (ln Z - ln lambda) >= 0, of a pure and a mixed state, on 12
+        # qubits: the folds of fewer than _KEYED_MIN sums sort as floats.
+        made = self.streams(monkeypatch)
+        walk([np.array([1.0, 0.0]), np.array([0.6, 0.4])], [0.0, 1.5],
+             custom_bath(1.0, [0.5, 1.0, 1.0, 2.0] * 3))
+        sizes = [len(stream.values) * stream.s.size for stream in made]
+        assert sizes == [2 << k for k in range(12)] + [1 << 13, 1 << 12, 1 << 13]
+        assert [stream.key for stream in made] == [
+            np.int64 if size >= spectra._KEYED_MIN else np.float64 for size in sizes
+        ]
+        assert sizes.count(spectra._KEYED_MIN) == 2
+
+    def test_a_negative_level_sorts_its_energies_as_floats(self, monkeypatch):
+        made = self.streams(monkeypatch)
+        walk([np.array([0.6, 0.4])], [-0.5, 1.5], custom_bath(1.0, [0.5, 1.0] * 6))
+        energies, keys = made[-2:]
+        assert energies.values == [-0.5, 1.5] and energies.key is np.float64
+        assert keys.key is np.int64
+
+    @pytest.mark.parametrize("s, f, key", [
+        ([0.0, 1.0], [0.0, 2.0], np.int64),
+        ([0.0, -0.0, 1.0], [0.5], np.int64),
+        ([5e-324, 1e308], [1e308, math.inf], np.int64),
+        ([0.0, 1.0], [-1.0, 2.0], np.float64),
+        ([0.0, 1.0], [-0.0, 2.0], np.float64),
+        ([0.0, 1.0], [math.nan], np.float64),
+        ([-0.0, 1.0], [0.0, 2.0], np.float64),
+        ([-1.0, 1.0], [0.0, 2.0], np.float64),
+        ([0.0, math.nan], [0.0, 2.0], np.float64),
+    ])
+    @pytest.mark.parametrize("width", [1, 64])
+    @OVERFLOW
+    def test_key_follows_the_signs(self, monkeypatch, s, f, key, width):
+        # Decided the same for a one-window stream and a planned one.
+        monkeypatch.setattr(spectra, "_KEYED_MIN", 0)
+        assert spectra._stream(np.array(s), np.array(f), width).key is key
+
+    @OVERFLOW
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.lists(KEYED_VALUES | st.just(-0.0), min_size=1, max_size=12),
+        values=st.lists(KEYED_VALUES, min_size=1, max_size=5),
+        width=st.integers(min_value=1, max_value=30),
+    )
+    @example(seed=[0.0, -0.0, -0.0, 5e-324, 5e-324], values=[0.0, 5e-324], width=2)
+    @example(seed=[1e308, 1e308, math.inf], values=[1e308], width=1)
+    def test_both_orders_give_the_same_bits(self, seed, values, width):
+        # Every chunk, one-run pieces included, written and sorted as int64
+        # and as float64, equals the stably sorted fold: the +0.0 + -0.0
+        # sums are +0.0, and 1e308 + 1e308 is inf.
+        s, f = np.sort(np.array(seed), kind="stable"), np.array(values)
+        want = np.sort(np.add.outer(f, s), axis=None, kind="stable")
+        stream = spectra._stream(s, f, width)
+        for key in (np.int64, np.float64):
+            forced = stream._replace(key=key)
+            got = np.concatenate([
+                spectra._write_chunk(forced, a, a + 1, np.empty(hi - lo))
+                for a, (lo, hi) in enumerate(zip(stream.ranks, stream.ranks[1:]))
+            ])
+            assert np.array_equal(bits(got), bits(want)), key
+
+
+class TestSplit:
+    """The walk's and the fold's parts are contiguous runs of cells."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        costs=st.lists(st.integers(min_value=0, max_value=1000), max_size=60),
+        parts=st.integers(min_value=1, max_value=8),
+    )
+    @example(costs=[1, 1, 1.1, 2, 1, 0.8, 2, 1, 1.2, 2, 1, 1, 0.9], parts=4)
+    def test_parts_cover_every_cell_once_near_an_equal_share(self, costs, parts):
+        bounds = spectra._split(costs, parts)
+        assert len(bounds) == parts + 1 and bounds[0] == 0 and bounds[-1] == len(costs)
+        assert all(a <= b for a, b in zip(bounds, bounds[1:]))
+        cells = [c for a, b in zip(bounds, bounds[1:]) for c in range(a, b)]
+        assert cells == list(range(len(costs)))
+        # Each inner bound is the nearest to its target, so each part costs
+        # total / parts to within the largest cell, and two parts differ by
+        # at most that. From three parts on, two parts may differ by up to
+        # twice that: the example's middle parts cost 5.8 and 2.2, and its
+        # largest cell 2.
+        largest, total = max(costs, default=0), sum(costs)
+        shares = [sum(costs[a:b]) for a, b in zip(bounds, bounds[1:])]
+        assert all(abs(share - total / parts) <= largest + 1e-9 for share in shares)
+        if parts == 2:
+            assert abs(shares[0] - shares[1]) <= largest + 1e-9
+
+    def test_cell_costs(self):
+        # Two windows of 8 ranks of two levels' energies (3 per rank, at the
+        # first cell with products), a one-run state with 8 products (1 per
+        # product) and a two-run state with 16 (4 per product).
+        s = np.arange(8.0)
+        energies = spectra._stream(s, np.array([0.0, 1.0]), 8)
+        pure, mixed = (spectra._stream(s, np.array(v), 8) for v in ([0.5], [0.5, 2.0]))
+        costs = spectra._cell_costs(energies, [pure, mixed], 8, 16)
+        assert costs == [8 + 24, 32, 0, 32 + 24]
+
+    def test_equal_costs_share_by_count(self):
+        assert spectra._split([1] * 10, 3) == [0, 3, 7, 10]
+        assert spectra._split([1] * 2, 5) == [0, 0, 1, 1, 2, 2]
