@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .spectra import FactorizedEnsemble, SpectralEnsemble, _check_temperature
+from .spectra import _check_temperature, _log_partition
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,6 +34,23 @@ class BathSpec:
     @property
     def n_qubits(self) -> int:
         return int(self.gaps.size)
+
+    @property
+    def mean_energy(self) -> float:
+        """Gibbs mean energy: each qubit's excited population times its gap,
+        summed in gap order."""
+        total = 0.0
+        for gap in self.gaps.tolist():
+            excited = math.exp(-gap / self.T)
+            total += excited / (1.0 + excited) * gap
+        return total
+
+    @property
+    def entropy(self) -> float:
+        """Gibbs entropy ``ln Z + E / T``. Both terms are non-negative, so
+        neither cancels, and a frozen qubit's ``exp(-gap / T)`` enters
+        directly rather than through a ``1 / Z`` rounded to 1."""
+        return _log_partition(self.gaps, self.T) + self.mean_energy / self.T
 
 
 def skrzypczyk_bath(n: int, temperature: float, omega: float) -> BathSpec:
@@ -65,13 +82,3 @@ def custom_bath(temperature: float, gaps: Sequence[float]) -> BathSpec:
     if gaps.size == 0:
         raise ValueError("a custom bath needs at least one qubit gap")
     return BathSpec(T=temperature, gaps=gaps)
-
-
-def bath_ensemble(bath: BathSpec) -> FactorizedEnsemble:
-    """Gibbs state of the bath as one two-level factor per qubit gap."""
-    factors = []
-    for gap in bath.gaps:
-        excited = math.exp(-gap / bath.T)
-        z = 1.0 + excited
-        factors.append(SpectralEnsemble([1.0 / z, excited / z], [0.0, float(gap)]))
-    return FactorizedEnsemble(tuple(factors))

@@ -18,14 +18,12 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bath import BathSpec, bath_ensemble
+from .bath import BathSpec
 from .spectra import (
     DensityOperator,
     DiagonalHamiltonian,
-    average_energy,
     compensated_dot,
     eigens,
-    entropy,
     passive_energies,
     shannon_entropy,
 )
@@ -60,7 +58,8 @@ def ergotropy_product(
 
     The joint probabilities and energies are read in ascending windows of
     merged sorted runs, and no joint array is held; the mean energy is
-    taken additively from the system matrix diagonal and the bath factors.
+    taken additively from the system matrix diagonal and the bath's closed
+    form :attr:`BathSpec.mean_energy`.
     """
     (value,) = shared_bath_ergotropies([system], hamiltonian, bath)
     return value
@@ -77,7 +76,7 @@ def shared_bath_ergotropies(
     ArithmeticError when a value is not finite or below the numerical floor.
     """
     passives = _passive_energies(systems, hamiltonian, bath)
-    bath_energy = sum(average_energy(f) for f in bath_ensemble(bath).factors)
+    bath_energy = bath.mean_energy
     values = []
     for energy, passive in zip(_system_energies(systems, hamiltonian), passives):
         value = energy + bath_energy - passive
@@ -108,18 +107,16 @@ def theorem2_check(
     rho x bath); when it holds, lhs = R(rho x bath) - R(xi x bath) must not
     exceed rhs = F(rho) - F(xi). A passive joint state has the spectrum of
     its parent, and entropy adds over a product, so its entropy is
-    S(state) + sum of the bath factor entropies; no joint array is summed.
+    S(state) + :attr:`BathSpec.entropy`; no joint array is summed.
     Raises ArithmeticError when a free energy of the hypothesis, lhs or rhs
     is not finite: no comparison with such a value decides the theorem.
     """
     rho_passive, xi_passive = _passive_energies([rho, xi], hamiltonian, bath)
-    factors = bath_ensemble(bath).factors
-    bath_entropy = sum(entropy(f) for f in factors)
+    bath_energy, bath_entropy = bath.mean_energy, bath.entropy
     rho_entropy, xi_entropy = (shannon_entropy(eigens(s)) for s in (rho, xi))
     free_rho_passive = rho_passive - bath.T * (rho_entropy + bath_entropy)
     free_xi_passive = xi_passive - bath.T * (xi_entropy + bath_entropy)
 
-    bath_energy = sum(average_energy(f) for f in factors)
     rho_energy, xi_energy = _system_energies([rho, xi], hamiltonian)
     rho_ergotropy = rho_energy + bath_energy - rho_passive
     xi_ergotropy = xi_energy + bath_energy - xi_passive

@@ -10,11 +10,12 @@ bit-identical output on every platform, and per-trial streams are keyed by
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import BathSpec, bath_ensemble
+from .bath import BathSpec
 from .ergotropy import ERGOTROPY_FLOOR
 from .spectra import (
     DensityOperator,
@@ -23,7 +24,6 @@ from .spectra import (
     SpectralEnsemble,
     average_energy,
     compensated_dot,
-    expand,
 )
 
 DENSE_DIM_CAP = 4096
@@ -126,18 +126,31 @@ def dense_joint(
 ) -> DenseJoint:
     """Materialize (system x bath Gibbs) literally as a dense matrix.
 
-    Basis order is the Kronecker convention (system index slowest), matching
-    the lexicographic order of the factorized expansion.
+    Basis order is the Kronecker convention (system index slowest, then the
+    bath qubits in gap order).
     """
     if rho.dim != hamiltonian.dim:
         raise ValueError("state and Hamiltonian dimensions differ")
     joint_dim = rho.dim << bath.n_qubits
     if joint_dim > DENSE_DIM_CAP:
         raise SizeCapError(joint_dim, DENSE_DIM_CAP)
-    bath_spectrum = expand(bath_ensemble(bath))
-    state = np.kron(rho.entries, np.diag(bath_spectrum.probs))
-    energies = np.add.outer(hamiltonian.energies, bath_spectrum.energies).ravel()
+    bath_probs, bath_energies = _bath_diagonal(bath)
+    state = np.kron(rho.entries, np.diag(bath_probs))
+    energies = np.add.outer(hamiltonian.energies, bath_energies).ravel()
     return DenseJoint(DensityOperator(state), DiagonalHamiltonian(energies))
+
+
+def _bath_diagonal(bath: BathSpec) -> tuple[np.ndarray, np.ndarray]:
+    # The bath's Gibbs probabilities and energies in lexicographic order
+    # (first qubit slowest), as outer-product chains over the qubits'
+    # [ground, excited] pairs.
+    probs, energies = np.ones(1), np.zeros(1)
+    for gap in bath.gaps.tolist():
+        excited = math.exp(-gap / bath.T)
+        z = 1.0 + excited
+        probs = np.multiply.outer(probs, [1.0 / z, excited / z]).ravel()
+        energies = np.add.outer(energies, [0.0, gap]).ravel()
+    return probs, energies
 
 
 def dense_ergotropy(state: DensityOperator, hamiltonian: DiagonalHamiltonian) -> float:

@@ -1,8 +1,7 @@
 """Classical spectra of states with diagonal Hamiltonians.
 
 A state that is diagonal in a known energy basis is fully described by a
-paired list of (probability, energy): a :class:`SpectralEnsemble`. Product
-states of many such factors are kept factorized (:class:`FactorizedEnsemble`).
+paired list of (probability, energy): a :class:`SpectralEnsemble`.
 Passive energies need only the two joint multisets, each in ascending order.
 In a thermal bath a configuration's probability depends on its energy alone,
 so :func:`passive_energies` builds the bath's sorted energy levels once,
@@ -14,8 +13,7 @@ is a stable merge of sorted runs, done on the sums' int64 bit patterns
 where none can be negative, -0.0 or NaN, and not at all for one such run.
 A large fold is cut into one part per CPU in the process's affinity mask,
 and a large walk into (window, state) cells shared out over those CPUs by
-estimated cost, with the same result bit for bit. :func:`expand` keeps the
-lexicographic joint order for the dense oracle. Small non-diagonal system
+estimated cost, with the same result bit for bit. Small non-diagonal system
 states are carried as dense matrices (:class:`DensityOperator`).
 
 Units: hbar = k_B = 1, natural logarithm throughout.
@@ -40,10 +38,9 @@ TRACE_ATOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 PROB_FLOOR = -1e-12
 PROB_SUM_ATOL = 1e-10
-FACTOR_SUM_ATOL = 1e-9
 
-# An expansion, or a passive-energy walk, of more joint elements than this
-# raises SizeCapError before anything is built.
+# A passive-energy walk of more joint elements than this raises
+# SizeCapError before anything is built.
 DEFAULT_EXPANSION_CAP = 1 << 26
 
 _SUM_BLOCK = 1 << 15
@@ -114,17 +111,36 @@ def _parts(size: int) -> int:
 
 def _split(costs: list, parts: int) -> list:
     # Bounds of parts contiguous runs of items: part k takes items bounds[k]
-    # to bounds[k + 1], each inner bound where the running cost comes nearest
-    # to k / parts of the total. So every part's cost is within the largest
-    # item's of total / parts, and on two parts the two differ by at most
-    # that.
-    sums = list(accumulate(costs, initial=0))
+    # to bounds[k + 1]. A bisection finds the least cap on a part's cost that
+    # greedy filling meets, the least any split allows. Each inner bound then
+    # sits nearest to k / parts of the total cost, moved only as far as it
+    # must be for its part and the later parts to stay within the cap.
+    sums, n = list(accumulate(costs, initial=0)), len(costs)
+
+    def reach(start: int, cap: float, count: int) -> int:
+        # The end of count parts of at most cap, filled greedily from start;
+        # it never decreases as start or cap grows. A part costs the
+        # difference of its prefix sums, as it is compared here.
+        for _ in range(count):
+            base = sums[start]
+            start = bisect_right(sums, cap, start, key=lambda total: total - base) - 1
+        return start
+
+    low, cap = 0.0, sums[-1]
+    while low < (guess := (low + cap) / 2) < cap:
+        low, cap = (low, guess) if reach(0, guess, parts) == n else (guess, cap)
     bounds = [0]
     for k in range(1, parts):
         target = sums[-1] * k / parts
         j = bisect_left(sums, target)
-        bounds.append(j - (target - sums[j - 1] < sums[j] - target))
-    return [*bounds, len(costs)]
+        j -= target - sums[j - 1] < sums[j] - target
+        start = bounds[-1]
+        last = reach(start, cap, 1)
+        first = start + bisect_left(
+            range(start, last), True, key=lambda i: reach(i, cap, parts - k) == n
+        )
+        bounds.append(min(max(j, first), last))
+    return [*bounds, n]
 
 
 def _run_parts(task: Callable[[int, int], Any], parts: int) -> list:
@@ -135,7 +151,8 @@ def _run_parts(task: Callable[[int, int], Any], parts: int) -> list:
     workers never submit to the pool, so a caller that is itself a thread of
     some other pool (a ``cli`` sweep) cannot deadlock it. Every part has
     finished when this returns or raises, and an exception of part 0 is
-    raised in preference to one of the other parts'.
+    raised in preference to one of the other parts'. numpy's floating-point
+    error state is per thread, so the pool's parts run under the caller's.
     """
     global _executor
     if parts == 1:
@@ -143,7 +160,13 @@ def _run_parts(task: Callable[[int, int], Any], parts: int) -> list:
     with _executor_lock:
         if _executor is None:
             _executor = ThreadPoolExecutor(max_workers=_PARTS, thread_name_prefix="ergolock")
-    futures = [_executor.submit(task, k, parts) for k in range(1, parts)]
+    errors = np.geterr()
+
+    def pooled(k: int) -> Any:
+        with np.errstate(**errors):
+            return task(k, parts)
+
+    futures = [_executor.submit(pooled, k) for k in range(1, parts)]
     try:
         first = task(0, parts)
     finally:
@@ -290,37 +313,6 @@ class SpectralEnsemble:
         return int(self.probs.size)
 
 
-@dataclass(frozen=True, eq=False)
-class FactorizedEnsemble:
-    """Tensor product of local ensembles, kept unexpanded.
-
-    An empty factor list is the trivial scalar ensemble (one outcome with
-    probability 1 and energy 0).
-    """
-
-    factors: tuple[SpectralEnsemble, ...]
-
-    def __post_init__(self):
-        factors = tuple(self.factors)
-        for f in factors:
-            if not isinstance(f, SpectralEnsemble):
-                raise TypeError("factors must be SpectralEnsemble instances")
-        # Expanded probability total equals the product of per-factor totals.
-        total = 1.0
-        for f in factors:
-            total *= compensated_sum(f.probs)
-        if abs(total - 1.0) > FACTOR_SUM_ATOL:
-            raise ValueError(f"expanded probabilities would sum to {total!r}, not 1")
-        object.__setattr__(self, "factors", factors)
-
-    @property
-    def size(self) -> int:
-        n = 1
-        for f in self.factors:
-            n *= f.size
-        return n
-
-
 def gibbs_ensemble(hamiltonian: DiagonalHamiltonian, beta: float) -> SpectralEnsemble:
     """Gibbs populations exp(-beta * E_i) / Z over the given levels.
 
@@ -372,6 +364,12 @@ def state_free_energy(
     """F = Tr[H rho] - T*S(rho) of a system state under a diagonal Hamiltonian."""
     energy = compensated_dot(rho.diagonal(), hamiltonian.energies)
     return energy - temperature * shannon_entropy(eigens(rho))
+
+
+def _log_partition(gaps: np.ndarray, temperature: float) -> float:
+    # ln Z of a thermal qubit bath: the sum of ln(1 + exp(-g / T)) over its
+    # gaps, each term positive, so the sum cancels nothing.
+    return compensated_sum(np.log1p(np.exp(-gaps / temperature)))
 
 
 def _bath_energies(gaps: np.ndarray) -> np.ndarray:
@@ -436,7 +434,7 @@ def passive_energies(
     width = _SUM_BLOCK * max(1, _CHUNK // _SUM_BLOCK)
     bath_energies = _bath_energies(gaps)
     energies = _stream(bath_energies, levels, width)
-    log_z = compensated_sum(np.log1p(np.exp(-gaps / temperature)))
+    log_z = _log_partition(gaps, temperature)
     states = []
     for values in eigenvalues:
         values = np.asarray(values, dtype=np.float64)
@@ -608,24 +606,6 @@ def _run_pieces(f: np.ndarray, s: np.ndarray, pivots: np.ndarray) -> np.ndarray:
         n -= half
     cuts = base + (runs + s[base] < pivots)
     return np.pad(cuts, ((0, 0), (1, 1)), constant_values=(0, s.size)).T
-
-
-def expand(factorized: FactorizedEnsemble) -> SpectralEnsemble:
-    """Expand a factorized ensemble into one flat SpectralEnsemble.
-
-    Output order is lexicographic over factor indices (first factor slowest),
-    matching the Kronecker-product basis convention of the dense oracle, so
-    outputs are byte-reproducible: probabilities multiply and energies add
-    over all index combinations. Zero-probability entries are kept. A result
-    larger than ``DEFAULT_EXPANSION_CAP`` raises :class:`SizeCapError`
-    instead of allocating.
-    """
-    _check_cap([f.size for f in factorized.factors])
-    probs, energies = np.ones(1), np.zeros(1)
-    for f in factorized.factors:
-        probs = np.multiply.outer(probs, f.probs).ravel()
-        energies = np.add.outer(energies, f.energies).ravel()
-    return SpectralEnsemble(probs, energies)
 
 
 def eigens(rho: DensityOperator) -> np.ndarray:

@@ -31,14 +31,13 @@ from ergolock import (
     skrzypczyk_bath,
     theorem1_work,
 )
-from ergolock.bath import bath_ensemble
 from ergolock.ergotropy import ergotropy_product
 from ergolock.oracle import passive_energy, trial_seed
 from ergolock.spectra import eigens, shannon_entropy
 from ergolock.cli import main
-from ergolock.spectra import SpectralEnsemble, expand
+from ergolock.spectra import SpectralEnsemble
 
-from helpers import tensor
+from helpers import bath_ensemble, expand, tensor
 
 MIXED = "mixed-trace-normalized"
 PURE = "pure-haar"

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -8,9 +9,11 @@ from ergolock import (
     free_energy_bound,
     skrzypczyk_bath,
 )
-from ergolock.bath import BathSpec, bath_ensemble
+from ergolock.bath import BathSpec
 from ergolock.ergotropy import ergotropy_product
-from ergolock.spectra import compensated_sum, expand
+from ergolock.spectra import average_energy, compensated_sum
+
+from helpers import bath_ensemble, expand
 
 
 def excited_population(gap: float, temperature: float) -> float:
@@ -74,6 +77,61 @@ class TestBathEnsemble:
         joint = expand(ensemble)
         assert list(joint.probs) == [1.0]
         assert list(joint.energies) == [0.0]
+
+
+def decimal_thermodynamics(bath: BathSpec) -> tuple[float, float]:
+    # Mean energy and entropy of the bath's Gibbs state, qubit by qubit to
+    # 60 digits from the exact binary inputs: E = sum g x / (1 + x) and
+    # S = sum ln(1 + x) + E / T with x = exp(-g / T).
+    with decimal.localcontext(decimal.Context(prec=60)):
+        t = decimal.Decimal(bath.T)
+        energy = entropy = decimal.Decimal(0)
+        for gap in map(decimal.Decimal, bath.gaps.tolist()):
+            excited = (-gap / t).exp()
+            energy += gap * excited / (1 + excited)
+            entropy += (1 + excited).ln()
+        return float(energy), float(entropy + energy / t)
+
+
+def thermodynamic_baths() -> list[BathSpec]:
+    rng = np.random.default_rng(2024)
+    baths = [custom_bath(1.0, [40.0]), custom_bath(1e-3, [1e-3]), custom_bath(1e6, [1e-6, 1.0])]
+    for _ in range(200):
+        temperature = float(10.0 ** rng.uniform(-3.0, 3.0))
+        # Gaps from 1e-4 T, nearly degenerate, to 40 T, nearly frozen.
+        ratios = 10.0 ** rng.uniform(-4.0, math.log10(40.0), rng.integers(1, 25))
+        baths.append(custom_bath(temperature, temperature * ratios))
+    for n in (1, 2, 5, 12, 30):
+        for temperature, omega in ((1.0, 1.0), (0.3, 2.5), (5.0, 0.1)):
+            baths.append(skrzypczyk_bath(n, temperature, omega))
+    return baths
+
+
+class TestThermodynamics:
+    """The bath's Gibbs mean energy and entropy in closed form."""
+
+    def test_matches_a_60_digit_reference(self):
+        for i, bath in enumerate(thermodynamic_baths()):
+            energy, entropy = decimal_thermodynamics(bath)
+            assert type(bath.mean_energy) is float and type(bath.entropy) is float
+            assert bath.mean_energy == pytest.approx(energy, rel=1e-14, abs=0), i
+            assert bath.entropy == pytest.approx(entropy, rel=1e-14, abs=0), i
+
+    def test_mean_energy_is_the_factor_sum_bit_for_bit(self):
+        for i, bath in enumerate(thermodynamic_baths()):
+            factors = bath_ensemble(bath).factors
+            assert bath.mean_energy == sum(average_energy(f) for f in factors), i
+
+    def test_frozen_qubit_entropy(self):
+        # At gap 40 T, 1 / Z rounds to 1, and the factor's -sum p ln p reads
+        # 1.70e-16 against the true 1.74e-16; ln Z + E / T keeps every digit.
+        bath = custom_bath(1.0, [40.0])
+        assert bath.entropy == pytest.approx(decimal_thermodynamics(bath)[1], rel=1e-15, abs=0)
+        assert bath.entropy > 1.73e-16
+
+    def test_empty_bath(self):
+        bath = BathSpec(T=2.0, gaps=np.empty(0))
+        assert (bath.mean_energy, bath.entropy) == (0.0, 0.0)
 
 
 class TestCustomBath:

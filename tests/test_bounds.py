@@ -299,12 +299,14 @@ class TestProductionScaleInvariants:
 
 
 def refuse_bath_builds(monkeypatch) -> None:
-    # Neither the bath's factors nor its sorted energy array may be built.
+    # Neither the bath's sorted energy array nor its closed-form mean energy
+    # or entropy may be computed.
     def refuse(*args):
         raise AssertionError("the bath was built before the size cap")
 
-    monkeypatch.setattr(ERGOTROPY_MODULE, "bath_ensemble", refuse)
     monkeypatch.setattr(ergolock.spectra, "_bath_energies", refuse)
+    monkeypatch.setattr(BathSpec, "mean_energy", property(refuse))
+    monkeypatch.setattr(BathSpec, "entropy", property(refuse))
 
 
 TEMPERATURE_TAKERS = {

@@ -15,6 +15,7 @@ from ergolock import (
     skrzypczyk_bath,
     spectra,
 )
+from ergolock.bath import BathSpec
 from ergolock.config import ConfigError, load_config, parse_config
 from ergolock import verify
 from ergolock.verify import run_verification
@@ -216,19 +217,19 @@ class TestSweepEngine:
 
     @staticmethod
     def _count_joint_builds(monkeypatch) -> Counter:
-        # Counts bath builds, the sorted bath arrays (_bath_energies calls),
-        # the folds made outside those builds (none: no joint array is
-        # built) and the joint streams the passive-energy walk reads: the
-        # joint energies and each state's keys. A bath build's folds plan
-        # their own streams, which are not counted.
+        # Counts the bath's closed-form mean energies, the sorted bath arrays
+        # (_bath_energies calls), the folds made outside those builds (none:
+        # no joint array is built) and the joint streams the passive-energy
+        # walk reads: the joint energies and each state's keys. A bath
+        # build's folds plan their own streams, which are not counted.
         calls = Counter()
         building = []
-        build_bath = ERGOTROPY_MODULE.bath_ensemble
+        mean_energy = BathSpec.mean_energy.fget
         build_array, fold, stream = spectra._bath_energies, spectra._fold, spectra._stream
 
-        def counted_bath(bath):
-            calls["bath_ensemble"] += 1
-            return build_bath(bath)
+        def counted_mean_energy(bath):
+            calls["mean energy"] += 1
+            return mean_energy(bath)
 
         def counted_array(gaps):
             calls["bath array"] += 1
@@ -248,7 +249,7 @@ class TestSweepEngine:
                 calls["stream"] += 1
             return stream(s, f, width)
 
-        monkeypatch.setattr(ERGOTROPY_MODULE, "bath_ensemble", counted_bath)
+        monkeypatch.setattr(BathSpec, "mean_energy", property(counted_mean_energy))
         monkeypatch.setattr(spectra, "_bath_energies", counted_array)
         monkeypatch.setattr(spectra, "_fold", counted_fold)
         monkeypatch.setattr(spectra, "_stream", counted_stream)
@@ -257,8 +258,8 @@ class TestSweepEngine:
     @pytest.mark.parametrize("gaps", [[1.0], [1.0, 0.5, 0.25, 0.125]], ids=["qubit", "five_levels"])
     def test_sigma_sweep_builds_the_bath_arrays_once(self, monkeypatch, gaps):
         # The weight-independent work of a sigma sweep is done once, for a
-        # qubit and for a five-level system alike: one bath build and one
-        # sorted bath energy array, and no bath probability array. One walk
+        # qubit and for a five-level system alike: one bath mean energy and
+        # one sorted bath energy array, and no bath probability array. One walk
         # reads 27 streams off that array in rank windows: the joint energies
         # (the levels folded into it) and the keys of rho and of each point's
         # sigma (their eigenvalues' offsets folded into it). No joint array
@@ -269,7 +270,7 @@ class TestSweepEngine:
         rows = run_sweep(parse_config(config))
         assert len(rows) == 25
         assert all(row.report is not None for row in rows)
-        assert calls == {"bath_ensemble": 1, "bath array": 1, "stream": 1 + 26}
+        assert calls == {"mean energy": 1, "bath array": 1, "stream": 1 + 26}
 
     def test_capped_point_is_marked_and_run_continues(self):
         config = parse_config(base_config(sweep={"parameter": "N", "values": [2, 27]}))

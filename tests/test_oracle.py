@@ -123,7 +123,7 @@ class TestDenseJoint:
         def refuse(*args):
             raise AssertionError("the bath was expanded before the dimension cap")
 
-        monkeypatch.setattr(oracle, "expand", refuse)
+        monkeypatch.setattr(oracle, "_bath_diagonal", refuse)
         with pytest.raises(SizeCapError) as info:
             dense_joint(plus_state, qubit_h, custom_bath(1.0, [1.0] * 24))
         assert (info.value.size, info.value.cap) == (2 << 24, oracle.DENSE_DIM_CAP)

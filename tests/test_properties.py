@@ -24,13 +24,12 @@ from ergolock.spectra import (
     compensated_sum,
     eigens,
     entropy,
-    expand,
     free_energy,
     gibbs_ensemble,
     shannon_entropy,
 )
 
-from helpers import tensor
+from helpers import expand, tensor
 
 finite_energy = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 

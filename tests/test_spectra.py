@@ -1,5 +1,6 @@
 import contextlib
 import importlib
+import itertools
 import math
 import sys
 import threading
@@ -24,23 +25,21 @@ from ergolock import (
     skrzypczyk_bath,
     spectra,
 )
-from ergolock.bath import BathSpec, bath_ensemble
+from ergolock.bath import BathSpec
 from ergolock.oracle import MIXED_TRACE_NORMALIZED, PURE_HAAR
 from ergolock.spectra import (
-    FactorizedEnsemble,
     SpectralEnsemble,
     average_energy,
     compensated_dot,
     compensated_sum,
     eigens,
     entropy,
-    expand,
     free_energy,
     gibbs_ensemble,
     passive_energies,
 )
 
-from helpers import tensor
+from helpers import FactorizedEnsemble, bath_ensemble, expand, tensor
 
 
 # ``ergolock.ergotropy`` is the re-exported function, not the submodule.
@@ -407,6 +406,15 @@ class TestParts:
             assert compensated_dot(e_asc[::-1], p_asc[::-1]) == compensated_sum(
                 np.multiply(e_asc[::-1], p_asc[::-1])
             )
+
+    @pytest.mark.filterwarnings("error")
+    def test_pool_parts_keep_the_callers_error_state(self):
+        # numpy's error state is per thread. The sums 1e308 + 1e308 overflow
+        # to inf in the fold's upper chunks, which the pool's part sorts.
+        s, f = np.full(1 << 17, 1e308), np.array([0.0, 1e308])
+        with forced_parts(2), np.errstate(over="ignore"):
+            got = spectra._fold(s, f, np.empty(1 << 18))
+        assert np.array_equal(got, np.repeat([1e308, math.inf], 1 << 17))
 
     @pytest.mark.parametrize("parts", [2, 3])
     def test_n20_report_equals_one_part(self, plus_state, qubit_h, parts):
@@ -1041,16 +1049,34 @@ class TestSplit:
         assert all(a <= b for a, b in zip(bounds, bounds[1:]))
         cells = [c for a, b in zip(bounds, bounds[1:]) for c in range(a, b)]
         assert cells == list(range(len(costs)))
-        # Each inner bound is the nearest to its target, so each part costs
-        # total / parts to within the largest cell, and two parts differ by
-        # at most that. From three parts on, two parts may differ by up to
-        # twice that: the example's middle parts cost 5.8 and 2.2, and its
-        # largest cell 2.
+        # Each inner bound is the nearest to its target that the least cap
+        # allows, so each part costs total / parts to within the largest
+        # cell, and on two parts the two differ by at most that.
         largest, total = max(costs, default=0), sum(costs)
         shares = [sum(costs[a:b]) for a, b in zip(bounds, bounds[1:])]
         assert all(abs(share - total / parts) <= largest + 1e-9 for share in shares)
         if parts == 2:
             assert abs(shares[0] - shares[1]) <= largest + 1e-9
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        costs=st.lists(st.integers(min_value=0, max_value=1000), max_size=9),
+        parts=st.integers(min_value=1, max_value=5),
+    )
+    @example(costs=[1, 1, 1.1, 2, 1, 0.8, 2, 1, 1.2, 2, 1, 1, 0.9], parts=4)
+    def test_largest_part_is_the_least_any_split_allows(self, costs, parts):
+        # Against every split into contiguous parts. Nearest bounds alone cut
+        # the example as 3.1, 5.8, 2.2 and 4.9; bounds (3, 6, 9) give 3.1,
+        # 3.8, 4.2 and 4.9.
+        def largest(bounds):
+            return max(sum(costs[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+        n = len(costs)
+        least = min(
+            largest([0, *inner, n])
+            for inner in itertools.combinations_with_replacement(range(n + 1), parts - 1)
+        )
+        assert largest(spectra._split(costs, parts)) <= least + 1e-9
 
     def test_cell_costs(self):
         # Two windows of 8 ranks of two levels' energies (3 per rank, at the
