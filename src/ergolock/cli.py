@@ -46,15 +46,17 @@ class SweepRow:
 
 
 def _evaluate_group(config: ExperimentConfig, parameter: str, group: list) -> list[SweepRow]:
-    # (value, (weight, bath)) pairs on one bath; each row gets an equal share of the time.
+    # (value, (weight, bath)) pairs on one bath, None past the cap; each row
+    # gets an equal share of the time.
     values, points = zip(*group)
-    weights = [weight for weight, _ in points]
+    weights, bath = [weight for weight, _ in points], points[0][1]
     start = time.perf_counter()
-    reports, error = [None] * len(group), None
+    reports, error = [None] * len(group), SIZE_CAP_MARKER
     try:
-        reports = bound_reports(config.state, config.hamiltonian, weights, points[0][1])
+        if bath is not None:
+            reports, error = bound_reports(config.state, config.hamiltonian, weights, bath), None
     except SizeCapError:
-        error = SIZE_CAP_MARKER
+        pass
     wall_time_ms = (time.perf_counter() - start) * 1e3 / len(group)
     return [SweepRow(parameter, v, r, error, wall_time_ms) for v, r in zip(values, reports)]
 

@@ -16,7 +16,7 @@ from typing import Any
 import numpy as np
 
 from .bath import BathSpec, custom_bath, skrzypczyk_bath
-from .spectra import DensityOperator, DiagonalHamiltonian
+from .spectra import DensityOperator, DiagonalHamiltonian, SizeCapError, _check_cap
 from .weight import EnergyEigenstateWeight, GaussianWeight, TimeStateWeight, WeightModel
 
 SWEEP_PARAMETERS = ("N", "sigma_over_omega")
@@ -106,19 +106,25 @@ class ExperimentConfig:
     """Fully validated experiment description, resolved into domain objects.
 
     ``weight`` and ``bath`` are the fixed parameter point; a sweep carries
-    its own resolved point per value.
+    its own resolved point per value. A ladder bath whose joint size is past
+    the expansion cap is ``None``: its gaps are never built, and its point
+    is reported as capped.
     """
 
     hamiltonian: DiagonalHamiltonian
     state: DensityOperator
     weight: WeightModel
-    bath: BathSpec
+    bath: BathSpec | None
     sweep: SweepSpec | None
     output: OutputSpec | None
     seed: int | None
 
 
-def _ladder_bath(size: int, temperature: float, omega: float) -> BathSpec:
+def _ladder_bath(dim: int, size: int, temperature: float, omega: float) -> BathSpec | None:
+    try:
+        _check_cap(dim, size)
+    except SizeCapError:
+        return None
     if size == 0:
         # Degenerate bathless point: a BathSpec with no qubits.
         return BathSpec(T=temperature, gaps=np.empty(0))
@@ -186,16 +192,15 @@ def _parse_sweep_values(raw: dict, parameter: str, path: str) -> tuple[float, ..
     if any(b <= a for a, b in zip(out, out[1:])):
         raise _fail(path, "sweep values must be strictly increasing")
     if parameter == "N":
-        ints = []
-        for i, v in enumerate(out):
-            if v != int(v) or v < 0:
-                raise _fail(f"{path}.values[{i}]", "N values must be integers >= 0")
-            ints.append(float(int(v)))
-        return tuple(ints)
-    for i, v in enumerate(out):
-        if v <= 0:
-            raise _fail(f"{path}.values[{i}]", "sigma_over_omega values must be > 0")
-    return tuple(float(v) for v in out)
+        bad, rule = [v != int(v) or v < 0 for v in out], "N values must be integers >= 0"
+    else:
+        bad, rule = [v <= 0 for v in out], "sigma_over_omega values must be > 0"
+    if any(bad):
+        # Names the field the value was written in: a listed value, or the range.
+        i = bad.index(True)
+        field = f"{path}.values[{i}]" if "values" in raw else f"{path}.range"
+        raise _fail(field, f"{rule}, got {float(out[i])!r}")
+    return tuple(float(int(v)) if parameter == "N" else float(v) for v in out)
 
 
 def parse_config(data: dict) -> ExperimentConfig:
@@ -212,7 +217,8 @@ def parse_config(data: dict) -> ExperimentConfig:
     # Gaps are successive level spacings above a zero ground level.
     energies = np.concatenate([[0.0], np.cumsum(gaps)])
     hamiltonian = DiagonalHamiltonian(energies)
-    state = _parse_state(_require(system, "state", "system"), hamiltonian.dim, "system.state")
+    dim = hamiltonian.dim
+    state = _parse_state(_require(system, "state", "system"), dim, "system.state")
 
     raw_bath = _require(data, "bath", "")
     model = _require(raw_bath, "model", "bath")
@@ -221,7 +227,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         bath_n = _as_int(_require(raw_bath, "N", "bath"), "bath.N", minimum=0)
         omega = _as_positive(_require(raw_bath, "omega", "bath"), "bath.omega")
         try:
-            bath = _ladder_bath(bath_n, temperature, omega)
+            bath = _ladder_bath(dim, bath_n, temperature, omega)
         except ValueError as exc:
             raise _fail("bath", str(exc)) from exc
     elif model == "custom":
@@ -259,12 +265,13 @@ def parse_config(data: dict) -> ExperimentConfig:
         values = _parse_sweep_values(raw, parameter, "sweep")
         try:
             if parameter == "N":
-                points = tuple((weight, _ladder_bath(int(v), temperature, omega)) for v in values)
+                baths = (_ladder_bath(dim, int(v), temperature, omega) for v in values)
+                points = tuple((weight, ladder) for ladder in baths)
             else:
                 # sigma/omega is scaled by the first system gap.
                 points = tuple((GaussianWeight(sigma=v * gaps[0]), bath) for v in values)
         except ValueError as exc:
-            raise _fail("sweep.values", str(exc)) from exc
+            raise _fail("sweep.values" if "values" in raw else "sweep.range", str(exc)) from exc
         sweep = SweepSpec(parameter=parameter, values=values, points=points)
 
     output = None

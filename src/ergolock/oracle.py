@@ -20,8 +20,8 @@ from .ergotropy import ERGOTROPY_FLOOR
 from .spectra import (
     DensityOperator,
     DiagonalHamiltonian,
-    SizeCapError,
     SpectralEnsemble,
+    _check_cap,
     average_energy,
     compensated_dot,
 )
@@ -131,9 +131,7 @@ def dense_joint(
     """
     if rho.dim != hamiltonian.dim:
         raise ValueError("state and Hamiltonian dimensions differ")
-    joint_dim = rho.dim << bath.n_qubits
-    if joint_dim > DENSE_DIM_CAP:
-        raise SizeCapError(joint_dim, DENSE_DIM_CAP)
+    _check_cap(rho.dim, bath.n_qubits, DENSE_DIM_CAP)
     bath_probs, bath_energies = _bath_diagonal(bath)
     state = np.kron(rho.entries, np.diag(bath_probs))
     energies = np.add.outer(hamiltonian.energies, bath_energies).ravel()
@@ -159,8 +157,7 @@ def dense_ergotropy(state: DensityOperator, hamiltonian: DiagonalHamiltonian) ->
     sorted pairing."""
     if state.dim != hamiltonian.dim:
         raise ValueError("state and Hamiltonian dimensions differ")
-    if state.dim > DENSE_DIM_CAP:
-        raise SizeCapError(state.dim, DENSE_DIM_CAP)
+    _check_cap(state.dim, 0, DENSE_DIM_CAP)
     mean_energy = compensated_dot(state.diagonal(), hamiltonian.energies)
     descending = state.eigenvalues[::-1]
     passive = compensated_dot(descending, np.sort(hamiltonian.energies))

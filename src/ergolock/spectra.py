@@ -25,7 +25,6 @@ import math
 import os
 import threading
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
@@ -54,10 +53,6 @@ _CHUNK = 1 << 17
 # caller: on a 2-core Xeon guest, 2^18 is the smallest fold that two parts
 # sort faster than one (crossover_fold_ms in BENCH_parallel_fold.json).
 _PARALLEL_MIN = 1 << 18
-
-# A stream of fewer values sorts as float64, as all of verify's do: there
-# the int64 sort gains little, less than its sign check and view cost.
-_KEYED_MIN = 1 << 12
 
 # Relative cost per rank of a walk cell whose keys are one run (a write and
 # its block sums) or a merge of several, from one-window timings at N = 22
@@ -91,18 +86,12 @@ def _count_text(n: int) -> str:
     return f"about {10 ** (log - int(log)):.3g}e{int(log)}"
 
 
-def _check_cap(sizes: Sequence[int]) -> None:
-    size = 1
-    for n in sizes:
-        size *= int(n)
-        if size > DEFAULT_EXPANSION_CAP:
-            # Equal factor sizes are grouped into one power, so the exact
-            # count of a 10^6-qubit bath costs one shift, not 10^6 big-int
-            # products.
-            counts = Counter(int(n) for n in sizes)
-            raise SizeCapError(
-                math.prod(n**k for n, k in counts.items()), DEFAULT_EXPANSION_CAP
-            )
+def _check_cap(dim: int, qubits: int, cap: int | None = None) -> None:
+    """Raises :class:`SizeCapError` if ``dim << qubits`` elements exceed
+    ``cap``, by default ``DEFAULT_EXPANSION_CAP`` as read at the call."""
+    size, cap = dim << qubits, cap or DEFAULT_EXPANSION_CAP
+    if size > cap:
+        raise SizeCapError(size, cap)
 
 
 def _parts(size: int) -> int:
@@ -143,9 +132,11 @@ def _split(costs: list, parts: int) -> list:
     return [*bounds, n]
 
 
-def _run_parts(task: Callable[[int, int], Any], parts: int) -> list:
-    """``[task(k, parts) for k in range(parts)]``, with part 0 on the caller
-    and the others on one shared thread pool, created on first use.
+def _run_parts(task: Callable[[int, int], Any], costs: list, size: int) -> list:
+    """``task(first, stop)`` of each part, in order: the items of these
+    ``costs`` in ``min(_parts(size), len(costs))`` contiguous runs, of about
+    equal cost (:func:`_split`), or in one. Part 0 runs on the caller, the
+    others on one shared thread pool, created on first use.
 
     The parts run numpy calls that release the GIL, so they overlap. Pool
     workers never submit to the pool, so a caller that is itself a thread of
@@ -155,20 +146,22 @@ def _run_parts(task: Callable[[int, int], Any], parts: int) -> list:
     error state is per thread, so the pool's parts run under the caller's.
     """
     global _executor
-    if parts == 1:
-        return [task(0, 1)]
+    parts = min(_parts(size), len(costs))
+    if parts <= 1:
+        return [task(0, len(costs))]
+    bounds = _split(costs, parts)
     with _executor_lock:
         if _executor is None:
             _executor = ThreadPoolExecutor(max_workers=_PARTS, thread_name_prefix="ergolock")
     errors = np.geterr()
 
-    def pooled(k: int) -> Any:
+    def pooled(first: int, stop: int) -> Any:
         with np.errstate(**errors):
-            return task(k, parts)
+            return task(first, stop)
 
-    futures = [_executor.submit(pooled, k) for k in range(1, parts)]
+    futures = [_executor.submit(pooled, *run) for run in zip(bounds[1:-1], bounds[2:])]
     try:
-        first = task(0, parts)
+        first = task(bounds[0], bounds[1])
     finally:
         wait(futures)
     return [first, *(future.result() for future in futures)]
@@ -181,8 +174,14 @@ def compensated_sum(values: np.ndarray) -> float:
         return 0.0
     if arr.size <= _SUM_BLOCK:
         return math.fsum(arr.tolist())
-    partials = [float(arr[i : i + _SUM_BLOCK].sum()) for i in range(0, arr.size, _SUM_BLOCK)]
-    return float(math.fsum(partials))
+    blocks = range(0, arr.size, _SUM_BLOCK)
+    return math.fsum(_partial(arr[i : i + _SUM_BLOCK], arr.size) for i in blocks)
+
+
+def _partial(terms: np.ndarray, n: int) -> float:
+    # One block's partial of an n-term compensated sum: exact where the sum
+    # is one block, pairwise otherwise.
+    return math.fsum(terms.tolist()) if n <= _SUM_BLOCK else float(terms.sum())
 
 
 def compensated_dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -205,8 +204,7 @@ def _block_sums(
         np.exp(np.multiply(keys[i:stop], rate, out=terms), out=terms)
         np.multiply(terms, e[i:stop], out=terms)
         buffer[stop - i : end - i] = 0.0
-        products = buffer[: end - i]
-        partials.append(math.fsum(products.tolist()) if n <= _SUM_BLOCK else float(products.sum()))
+        partials.append(_partial(buffer[: end - i], n))
     return partials
 
 
@@ -423,7 +421,7 @@ def passive_energies(
     of non-negative levels, are merged as int64 bit patterns. Every state's
     full joint size is checked against the cap before anything is built.
     """
-    _check_cap([max(map(len, [levels, *eigenvalues])), *[2] * len(gaps)])
+    _check_cap(max(map(len, [levels, *eigenvalues])), len(gaps))
     # Every energy and T are scaled by the exact power of two that keeps T
     # within 2^+-900, so a key's T (ln Z - ln lambda) is finite and normal.
     exponent = math.frexp(temperature)[1]
@@ -441,19 +439,14 @@ def passive_energies(
         offsets = temperature * (log_z - np.log(values[values != 0]))
         states.append(_stream(bath_energies, offsets, width))
     n = levels.size * bath_energies.size
-    cells = -(-n // width) * len(states)
-    # A walk of at most _SUM_BLOCK ranks sums each cell with math.fsum over
-    # a Python list, which holds the GIL, so it runs as one part.
-    parts = max(1, min(_parts(n * len(states) if n > _SUM_BLOCK else 0), cells))
-    bounds = [0, cells] if parts == 1 else _split(_cell_costs(energies, states, width, n), parts)
 
-    def part(k: int, parts: int) -> list:
+    def part(first: int, stop: int) -> list:
         sums = [[] for _ in states]
         e_buffer = np.empty(energies.largest)
         k_buffer = np.empty(max((state.largest for state in states), default=0))
         block = np.empty(min(n, _SUM_BLOCK))
         sorted_window = None
-        for cell in range(bounds[k], bounds[k + 1]):
+        for cell in range(first, stop):
             window, i = divmod(cell, len(states))
             lo, hi = window * width, min(n, (window + 1) * width)
             m = states[i].ranks[-1]
@@ -464,7 +457,10 @@ def passive_energies(
                 sums[i] += _block_sums(keys, e, -1.0 / temperature, hi - lo, n, block)
         return sums
 
-    parts = _run_parts(part, parts)
+    # A walk of at most _SUM_BLOCK ranks sums each cell with math.fsum over
+    # a Python list, which holds the GIL, so it runs as one part.
+    size = n * len(states) if n > _SUM_BLOCK else 0
+    parts = _run_parts(part, _cell_costs(energies, states, width, n), size)
     return [scale * math.fsum(chain.from_iterable(sums)) for sums in zip(*parts)]
 
 
@@ -490,30 +486,24 @@ def _fold(s: np.ndarray, f: np.ndarray, out: np.ndarray) -> np.ndarray:
     # time. The fold is planned as the walk is, after Odeh et al., "Merge
     # Path", IPDPS Workshops 2012: pivots come from a strided sample, and
     # one bisection finds each pivot's exact rank in every run. Every 16th
-    # pivot bounds a chunk of about _CHUNK values, at least one per part
-    # where the values allow, and each chunk is written and sorted in its
-    # own slice of out, so a merge buffer is at most about half a chunk.
-    # Each part takes a contiguous run of chunks, as many as _split gives
-    # it. All copies of a value (a -0.0 and a 0.0 included) fall in one
-    # chunk, in the order one whole-array stable sort would meet them, so
-    # the result is the same array bit for bit, however it is cut, and
-    # whether it is sorted as floats or, where _stream finds no value below
-    # +0.0, as int64 bit patterns.
-    parts = _parts(out.size)
-    stream = _stream(s, f, min(_CHUNK, -(-out.size // parts)))
-    ranks = stream.ranks
-    if len(ranks) == 2:
-        return _write_chunk(stream, 0, 1, out)
-    chunks = len(ranks) // 16
-    parts = min(parts, chunks)
-    bounds = _split([1] * chunks, parts)
+    # pivot (or the last, for a one-window stream) bounds a chunk of about
+    # _CHUNK values, at least one per part where the values allow, and each
+    # chunk is written and sorted in its own slice of out, so a merge buffer
+    # is at most about half a chunk. _run_parts shares the chunks out, one
+    # unit of cost each. All copies of a value (a -0.0 and a 0.0 included)
+    # fall in one chunk, in the order one whole-array stable sort would meet
+    # them, so the result is the same array bit for bit, however it is cut,
+    # and whether it is sorted as floats or, where _stream finds no value
+    # below +0.0, as int64 bit patterns.
+    stream = _stream(s, f, min(_CHUNK, -(-out.size // _parts(out.size))))
+    ranks, last = stream.ranks, len(stream.ranks) - 1
 
-    def part(k: int, parts: int) -> None:
-        for c in range(bounds[k], bounds[k + 1]):
-            a, b = 16 * c, 16 * c + 16
+    def part(first: int, stop: int) -> None:
+        for c in range(first, stop):
+            a, b = 16 * c, min(16 * c + 16, last)
             _write_chunk(stream, a, b, out[ranks[a] : ranks[b]])
 
-    _run_parts(part, parts)
+    _run_parts(part, [1] * -(-last // 16), out.size)
     return out
 
 
@@ -523,8 +513,7 @@ class _Stream(NamedTuple):
     # ranks[j] the count of sums below that pivot; the first and last
     # pivots stand for -inf and +inf. A window of width ranks sorts at most
     # largest values. A piece is sorted as key: int64 where no sum can be
-    # negative, -0.0 or NaN and there are at least _KEYED_MIN, float64
-    # elsewhere.
+    # negative, -0.0 or NaN, float64 elsewhere.
     s: np.ndarray
     values: list
     edges: list
@@ -543,10 +532,8 @@ def _stream(s: np.ndarray, f: np.ndarray, width: int) -> _Stream:
     # float compare and gives the same bits.
     size = f.size * s.size
     values = f.tolist()
-    keyed = size >= _KEYED_MIN and not math.isnan(s[-1]) and all(
-        x >= 0.0 and math.copysign(1.0, x) > 0.0 for x in [float(s[0]), *values]
-    )
-    key = np.int64 if keyed else np.float64
+    clear = all(x >= 0.0 and math.copysign(1.0, x) > 0.0 for x in [float(s[0]), *values])
+    key = np.int64 if clear and not math.isnan(s[-1]) else np.float64
     if size <= width:
         return _Stream(s, values, [[0] * f.size, [s.size] * f.size], [0, size], size, key)
     count = 16 * -(-size // width)
@@ -582,10 +569,8 @@ def _write_chunk(stream: _Stream, a: int, b: int, out: np.ndarray) -> np.ndarray
     for c, lo, hi in zip(stream.values, stream.edges[a], stream.edges[b]):
         np.add(c, stream.s[lo:hi], out=out[pos : pos + hi - lo])
         pos += hi - lo
-    if stream.key is np.float64:
-        out.sort(kind="stable")
-    elif len(stream.values) > 1:
-        out.view(np.int64).sort(kind="stable")
+    if stream.key is np.float64 or len(stream.values) > 1:
+        out.view(stream.key).sort(kind="stable")
     return out
 
 

@@ -69,7 +69,7 @@ def expand(factorized: FactorizedEnsemble) -> SpectralEnsemble:
     larger than ``DEFAULT_EXPANSION_CAP`` raises :class:`SizeCapError`
     instead of allocating.
     """
-    _check_cap([f.size for f in factorized.factors])
+    _check_cap(math.prod(f.size for f in factorized.factors), 0)
     probs, energies = np.ones(1), np.zeros(1)
     for f in factorized.factors:
         probs = np.multiply.outer(probs, f.probs).ravel()

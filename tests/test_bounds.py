@@ -297,6 +297,44 @@ class TestProductionScaleInvariants:
         for key, value in expected.items():
             assert abs(got[key] - value) <= 1e-12, key
 
+    # A random three-level mixed state on levels (0, 1, 2.5), Gaussian
+    # sigma = 0.7: each field below was measured exact, or within 8.9e-16
+    # for a permutation of the gaps.
+    QUTRIT_H = DiagonalHamiltonian([0.0, 1.0, 2.5])
+    SIGMA = GaussianWeight(0.7)
+
+    @pytest.fixture
+    def qutrit(self):
+        rho = random_state(RandomSpec(seed=20, dim=3, kind=MIXED_TRACE_NORMALIZED))
+        bath = skrzypczyk_bath(self.N, 1.0, 1.0)
+        return rho, bath, bound_report(rho, self.QUTRIT_H, self.SIGMA, bath).as_dict()
+
+    def test_diagonal_state_locks_nothing(self, qutrit):
+        rho, bath, _ = qutrit
+        diagonal = DensityOperator(np.diag(rho.diagonal()).astype(complex))
+        assert bound_report(diagonal, self.QUTRIT_H, self.SIGMA, bath).locked_energy == 0.0
+
+    def test_gibbs_state_has_no_work(self, qutrit):
+        _, bath, _ = qutrit
+        gibbs = gibbs_state(self.QUTRIT_H, bath.T)
+        report = bound_report(gibbs, self.QUTRIT_H, self.SIGMA, bath)
+        assert (report.resource_ergotropy, report.free_energy_bound) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_permuted_gaps_change_no_field(self, qutrit, seed):
+        rho, bath, expected = qutrit
+        permuted = custom_bath(bath.T, np.random.default_rng(seed).permutation(bath.gaps))
+        got = bound_report(rho, self.QUTRIT_H, self.SIGMA, permuted).as_dict()
+        for key, value in expected.items():
+            assert abs(got[key] - value) <= 1e-14, key
+
+    def test_frozen_qubit_changes_no_bit(self, qutrit):
+        # exp(-800) is 3.6e-348, below the least subnormal: the qubit is
+        # exactly frozen.
+        rho, bath, expected = qutrit
+        frozen = custom_bath(bath.T, [*bath.gaps, 800.0 * bath.T])
+        assert bound_report(rho, self.QUTRIT_H, self.SIGMA, frozen).as_dict() == expected
+
 
 def refuse_bath_builds(monkeypatch) -> None:
     # Neither the bath's sorted energy array nor its closed-form mean energy

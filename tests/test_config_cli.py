@@ -24,6 +24,7 @@ from ergolock.cli import CSV_COLUMNS, emit_csv, emit_json, main, run_report, run
 
 # ``ergolock.ergotropy`` is the re-exported function, not the submodule.
 ERGOTROPY_MODULE = importlib.import_module("ergolock.ergotropy")
+config_module = importlib.import_module("ergolock.config")
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -120,8 +121,23 @@ class TestParseErrors:
             parse_config(base_config(sweep={"parameter": "N", "values": [3, 2]}))
 
     def test_n_sweep_values_must_be_integers(self):
-        with pytest.raises(ConfigError, match="integers"):
+        message = r"^sweep.values\[1\]: N values must be integers >= 0, got 2.5$"
+        with pytest.raises(ConfigError, match=message):
             parse_config(base_config(sweep={"parameter": "N", "values": [1, 2.5]}))
+
+    @pytest.mark.parametrize(
+        "sweep, message",
+        [
+            ({"parameter": "N", "range": {"from": 1, "to": 4, "steps": 7}},
+             "sweep.range: N values must be integers >= 0, got 1.5"),
+            ({"parameter": "sigma_over_omega", "range": {"from": -1, "to": 1, "steps": 3}},
+             "sweep.range: sigma_over_omega values must be > 0, got -1.0"),
+        ],
+    )
+    def test_sweep_value_errors_name_the_field_written(self, sweep, message):
+        # A range's values were never written out, so the range is named.
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            parse_config(base_config(sweep=sweep))
 
     def test_n_sweep_needs_skrzypczyk(self):
         data = base_config(bath={"model": "custom", "gaps": [1.0]},
@@ -153,6 +169,10 @@ class TestParseErrors:
             # sigma = value * first system gap overflows to inf.
             ({"system": {"gaps": [10.0], "state": "plus"},
               "sweep": {"parameter": "sigma_over_omega", "values": [1e308]}}, "sweep.values"),
+            # The same, from a range: the range is named.
+            ({"system": {"gaps": [10.0], "state": "plus"},
+              "sweep": {"parameter": "sigma_over_omega",
+                        "range": {"from": 1.0, "to": 1e308, "steps": 2}}}, "sweep.range: "),
             # Ladder gaps that round to 0 (omega -> 0) or overflow to inf.
             ({"bath": {"model": "skrzypczyk", "N": 3, "omega": 1e-300}}, "bath: "),
             ({"bath": {"model": "skrzypczyk", "N": 3, "omega": 1000.0}}, "bath: "),
@@ -393,6 +413,29 @@ class TestCliProcess:
         assert small["resource_ergotropy"] is not None
         assert huge["value"] == 20000.0
         assert huge["error"] == "size-cap"
+
+    def test_huge_ladder_is_capped_before_its_gaps_are_built(self, tmp_path, capsys, monkeypatch):
+        # A ladder of 10^9 qubits would take about 24 GB of gaps while it
+        # is built: the cap must refuse it from N and the system's
+        # dimension alone, as the same report and sweep row as before.
+        build = config_module.skrzypczyk_bath
+
+        def small_only(n, temperature, omega):
+            assert n <= 64, f"a {n}-qubit ladder was built"
+            return build(n, temperature, omega)
+
+        monkeypatch.setattr(config_module, "skrzypczyk_bath", small_only)
+        cfg = self.write_config(tmp_path, base_config(
+            bath={"model": "skrzypczyk", "N": 10**9, "omega": 1.0}))
+        assert main(["report", "--config", cfg]) == 3
+        assert "size cap" in capsys.readouterr().err
+        cfg = self.write_config(tmp_path, base_config(
+            sweep={"parameter": "N", "values": [2, 10**9]}))
+        out = tmp_path / "o.json"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--format", "json"]) == 3
+        small, huge = json.loads(out.read_text())
+        assert small["resource_ergotropy"] is not None and "error" not in small
+        assert (huge["value"], huge["error"]) == (1e9, "size-cap")
 
     def test_capped_sigma_sweep_marks_every_row(self, tmp_path):
         cfg = self.write_config(tmp_path, sigma_sweep_config(27))

@@ -434,18 +434,18 @@ class TestParts:
         # caller's own exception is the one raised.
         finished = threading.Event()
 
-        def task(k, parts):
-            if k == 0 and caller_fails:
+        def task(first, stop):
+            if first == 0 and caller_fails:
                 raise RuntimeError("part 0")
-            if k == 1:
+            if first == 1:
                 raise ValueError("part 1")
-            if k == 2:
+            if first == 2:
                 time.sleep(0.2)
                 finished.set()
 
         raised = RuntimeError if caller_fails else ValueError
         with forced_parts(3), pytest.raises(raised):
-            spectra._run_parts(task, 3)
+            spectra._run_parts(task, [1, 1, 1], 3)
         assert finished.is_set()
 
     def test_concurrent_callers_share_one_pool(self):
@@ -618,12 +618,10 @@ class TestSortedJoints:
 @contextlib.contextmanager
 def streamed_sizes(parts: int, chunk: int, block: int = spectra._SUM_BLOCK):
     """Cut every fold into ``parts`` parts and chunks of about ``chunk``
-    elements, and every sum into blocks of ``block``; sort every stream of
-    non-negative sums, however small, as int64."""
+    elements, and every sum into blocks of ``block``."""
     with forced_parts(parts), pytest.MonkeyPatch.context() as patch:
         patch.setattr(spectra, "_CHUNK", chunk)
         patch.setattr(spectra, "_SUM_BLOCK", block)
-        patch.setattr(spectra, "_KEYED_MIN", 0)
         yield
 
 
@@ -876,10 +874,11 @@ class TestStreamedPassive:
         states = [np.array([p, 1.0 - p]) for p in np.linspace(0.5, 1.0, count)]
         run_parts, counts = spectra._run_parts, []
 
-        def recording(task, parts):
+        def recording(task, costs, size):
+            parts = run_parts(task, costs, size)
             if task.__qualname__.startswith("passive_energies."):
-                counts.append(parts)
-            return run_parts(task, parts)
+                counts.append(len(parts))
+            return parts
 
         with forced_parts(1, spectra._PARALLEL_MIN):
             one = walk(states, levels, bath)
@@ -973,16 +972,13 @@ class TestIntegerKeys:
     def test_walk_streams_are_int64_on_non_negative_levels(self, monkeypatch):
         # The bath folds [0.0, g], the energies of levels >= 0 and the keys
         # T (ln Z - ln lambda) >= 0, of a pure and a mixed state, on 12
-        # qubits: the folds of fewer than _KEYED_MIN sums sort as floats.
+        # qubits: every stream, whatever its size, sorts as int64.
         made = self.streams(monkeypatch)
         walk([np.array([1.0, 0.0]), np.array([0.6, 0.4])], [0.0, 1.5],
              custom_bath(1.0, [0.5, 1.0, 1.0, 2.0] * 3))
         sizes = [len(stream.values) * stream.s.size for stream in made]
         assert sizes == [2 << k for k in range(12)] + [1 << 13, 1 << 12, 1 << 13]
-        assert [stream.key for stream in made] == [
-            np.int64 if size >= spectra._KEYED_MIN else np.float64 for size in sizes
-        ]
-        assert sizes.count(spectra._KEYED_MIN) == 2
+        assert all(stream.key is np.int64 for stream in made)
 
     def test_a_negative_level_sorts_its_energies_as_floats(self, monkeypatch):
         made = self.streams(monkeypatch)
@@ -1004,9 +1000,8 @@ class TestIntegerKeys:
     ])
     @pytest.mark.parametrize("width", [1, 64])
     @OVERFLOW
-    def test_key_follows_the_signs(self, monkeypatch, s, f, key, width):
+    def test_key_follows_the_signs(self, s, f, key, width):
         # Decided the same for a one-window stream and a planned one.
-        monkeypatch.setattr(spectra, "_KEYED_MIN", 0)
         assert spectra._stream(np.array(s), np.array(f), width).key is key
 
     @OVERFLOW
