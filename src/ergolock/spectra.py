@@ -6,11 +6,13 @@ Passive energies need only the two joint multisets, each in ascending order.
 In a thermal bath a configuration's probability depends on its energy alone,
 so :func:`passive_energies` builds the bath's sorted energy levels once,
 folding in one qubit gap at a time as a linear merge of two sorted runs. It
-keys both joint streams by that one array and walks them in
-rank-aligned, cache-sized windows: no joint-sized array is held. One planner
-(``_stream``) cuts a fold and a walk alike at exact pivot ranks. Each piece
-is a stable merge of sorted runs, done on the sums' int64 bit patterns
-where none can be negative, -0.0 or NaN, and not at all for one such run.
+keys both joint streams by that one array and walks them in rank-aligned,
+cache-sized windows: no joint-sized array is held past one sum block, and
+a fold or walk within one is written whole and sorted in one call. One
+planner (``_stream``) cuts a larger fold and walk alike at exact pivot
+ranks. Each piece is a stable merge of sorted runs, done on the sums' int64
+bit patterns where none can be negative, -0.0 or NaN, and not at all for
+one such run.
 A large fold is cut into one part per CPU in the process's affinity mask,
 and a large walk into (window, state) cells shared out over those CPUs by
 estimated cost, with the same result bit for bit. Small non-diagonal system
@@ -69,29 +71,35 @@ _executor_lock = threading.Lock()
 
 
 class SizeCapError(RuntimeError):
-    """Raised when an expansion would exceed the configured element cap."""
+    """Raised when an expansion of ``dim << qubits`` elements would exceed
+    the configured element cap. ``size`` is built only when read."""
 
-    def __init__(self, size: int, cap: int):
-        super().__init__(f"expansion of {_count_text(size)} elements exceeds the cap of {cap}")
-        self.size = size
-        self.cap = cap
+    def __init__(self, dim: int, qubits: int, cap: int):
+        count = _count_text(dim, qubits)
+        super().__init__(f"expansion of {count} elements exceeds the cap of {cap}")
+        self.dim, self.qubits, self.cap = dim, qubits, cap
+
+    @property
+    def size(self) -> int:
+        return self.dim << self.qubits
 
 
-def _count_text(n: int) -> str:
+def _count_text(dim: int, qubits: int) -> str:
     # Python refuses to format an int of more than 4,300 decimal digits, and
     # a bath of 10^5 qubits has a joint size of 30,103 digits.
-    if n < 10**18:
+    log = math.log10(dim) + qubits * math.log10(2)
+    if log < 19 and (n := dim << qubits) < 10**18:
         return str(n)
-    log = math.log10(n)
     return f"about {10 ** (log - int(log)):.3g}e{int(log)}"
 
 
 def _check_cap(dim: int, qubits: int, cap: int | None = None) -> None:
     """Raises :class:`SizeCapError` if ``dim << qubits`` elements exceed
-    ``cap``, by default ``DEFAULT_EXPANSION_CAP`` as read at the call."""
-    size, cap = dim << qubits, cap or DEFAULT_EXPANSION_CAP
-    if size > cap:
-        raise SizeCapError(size, cap)
+    ``cap``, by default ``DEFAULT_EXPANSION_CAP`` as read at the call,
+    without building the size past the cap's bit length."""
+    cap = cap or DEFAULT_EXPANSION_CAP
+    if dim and (qubits > cap.bit_length() or dim << qubits > cap):
+        raise SizeCapError(dim, qubits, cap)
 
 
 def _parts(size: int) -> int:
@@ -401,25 +409,28 @@ def passive_energies(
     A joint probability ``lambda * exp(-E_x / T) / Z`` is ``exp(-key / T)``
     for the key ``E_x + T (ln Z - ln lambda)``, so the probabilities in
     descending order are the keys in ascending order. The bath's sorted
-    energy array is built once, and no array of the joint size is built.
-    The joint energies (the levels folded into it) and each state's keys
-    (its nonzero eigenvalues' offsets folded into it) are read in rank
-    windows of about ``_CHUNK`` ranks that start on ``_SUM_BLOCK``
-    multiples. One cell is one state's dot over one window's ranks: its
-    sorted keys (:func:`_window`) become probabilities ``exp(key * -1/T)``
-    block by block, and the block partials are taken from their products
-    with the window's sorted energies. Each part of :func:`_run_parts` takes
-    a contiguous run of cells in window-major order, of about an equal share
-    of their estimated cost (:func:`_cell_costs`), and sorts a window's
-    energies once, at its first cell of that window with products. A walk of
-    at most ``_SUM_BLOCK`` ranks, whose sums hold the GIL, runs as one part.
-    Ranks past a state's nonzero products (a zero eigenvalue's) hold ``+0.0``
-    products in their last block, and later blocks are left out. The value
-    equals ``compensated_dot`` over the whole sorted arrays, the keys mapped
-    the same way, bit for bit, however the cells are shared out: each
-    state's partials are summed with ``math.fsum``. The keys, and energies
-    of non-negative levels, are merged as int64 bit patterns. Every state's
-    full joint size is checked against the cap before anything is built.
+    energy array is built once. A walk of at most ``_SUM_BLOCK`` joint ranks,
+    as every one ``verify`` makes, sorts the joint energies and each state's
+    keys whole (:func:`_sorted_sums`) and sums its one block. A larger walk
+    builds no array of the joint size: the joint energies (the levels folded
+    into the bath's array) and each state's keys (its nonzero eigenvalues'
+    offsets folded into it) are read in rank windows of about ``_CHUNK``
+    ranks that start on ``_SUM_BLOCK`` multiples. One cell is one state's dot
+    over one window's ranks: its sorted keys (:func:`_window`) become
+    probabilities ``exp(key * -1/T)`` block by block, and the block partials
+    are taken from their products with the window's sorted energies. Each
+    part of :func:`_run_parts` takes a contiguous run of cells in
+    window-major order, of about an equal share of their estimated cost
+    (:func:`_cell_costs`), and sorts a window's energies once, at its first
+    cell of that window with products. Ranks past a state's nonzero products
+    (a zero eigenvalue's) hold ``+0.0`` products in their last block, and
+    later blocks are left out. On either path the value equals
+    ``compensated_dot`` over the whole sorted arrays, the keys mapped the
+    same way, bit for bit, however the cells are shared out: each state's
+    partials (:func:`_block_sums`) are summed with ``math.fsum``. The planned
+    walk merges the keys, and energies of non-negative levels, as int64 bit
+    patterns. Every state's full joint size is checked against the cap
+    before anything is built.
     """
     _check_cap(max(map(len, [levels, *eigenvalues])), len(gaps))
     # Every energy and T are scaled by the exact power of two that keeps T
@@ -429,16 +440,22 @@ def passive_energies(
     gaps = np.asarray(gaps, dtype=np.float64) / scale
     levels = np.asarray(levels, dtype=np.float64) / scale
     temperature /= scale
-    width = _SUM_BLOCK * max(1, _CHUNK // _SUM_BLOCK)
     bath_energies = _bath_energies(gaps)
-    energies = _stream(bath_energies, levels, width)
     log_z = _log_partition(gaps, temperature)
-    states = []
+    offsets = []
     for values in eigenvalues:
         values = np.asarray(values, dtype=np.float64)
-        offsets = temperature * (log_z - np.log(values[values != 0]))
-        states.append(_stream(bath_energies, offsets, width))
+        offsets.append(temperature * (log_z - np.log(values[values != 0])))
     n = levels.size * bath_energies.size
+    if n <= _SUM_BLOCK:
+        e, block, passive = _sorted_sums(bath_energies, levels, np.empty(n)), np.empty(n), []
+        for f in offsets:
+            keys = _sorted_sums(bath_energies, f, np.empty(f.size * bath_energies.size))
+            passive.append(scale * math.fsum(_block_sums(keys, e, -1.0 / temperature, n, n, block)))
+        return passive
+    width = _SUM_BLOCK * max(1, _CHUNK // _SUM_BLOCK)
+    energies = _stream(bath_energies, levels, width)
+    states = [_stream(bath_energies, f, width) for f in offsets]
 
     def part(first: int, stop: int) -> list:
         sums = [[] for _ in states]
@@ -457,10 +474,7 @@ def passive_energies(
                 sums[i] += _block_sums(keys, e, -1.0 / temperature, hi - lo, n, block)
         return sums
 
-    # A walk of at most _SUM_BLOCK ranks sums each cell with math.fsum over
-    # a Python list, which holds the GIL, so it runs as one part.
-    size = n * len(states) if n > _SUM_BLOCK else 0
-    parts = _run_parts(part, _cell_costs(energies, states, width, n), size)
+    parts = _run_parts(part, _cell_costs(energies, states, width, n), n * len(states))
     return [scale * math.fsum(chain.from_iterable(sums)) for sums in zip(*parts)]
 
 
@@ -494,7 +508,10 @@ def _fold(s: np.ndarray, f: np.ndarray, out: np.ndarray) -> np.ndarray:
     # fall in one chunk, in the order one whole-array stable sort would meet
     # them, so the result is the same array bit for bit, however it is cut,
     # and whether it is sorted as floats or, where _stream finds no value
-    # below +0.0, as int64 bit patterns.
+    # below +0.0, as int64 bit patterns. A fold of at most one sum block that
+    # the plan would write as one chunk on one part is _sorted_sums instead.
+    if out.size <= min(_SUM_BLOCK, _CHUNK) and _parts(out.size) == 1:
+        return _sorted_sums(s, f, out)
     stream = _stream(s, f, min(_CHUNK, -(-out.size // _parts(out.size))))
     ranks, last = stream.ranks, len(stream.ranks) - 1
 
@@ -504,6 +521,17 @@ def _fold(s: np.ndarray, f: np.ndarray, out: np.ndarray) -> np.ndarray:
             _write_chunk(stream, a, b, out[ranks[a] : ranks[b]])
 
     _run_parts(part, [1] * -(-last // 16), out.size)
+    return out
+
+
+def _sorted_sums(s: np.ndarray, f: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # The sorted c + x over c in f and x in s, written whole into out and
+    # stably sorted as floats: the bits of one planned chunk. The runs c + s
+    # are written in the plan's order, so the sort meets ties as a chunk's
+    # does, and where the plan sorts int64 bit patterns (no sum below +0.0
+    # and no NaN), two sums compare equal only when their bits are equal.
+    np.add.outer(f, s, out=out.reshape(f.size, s.size))
+    out.sort(kind="stable")
     return out
 
 

@@ -275,17 +275,20 @@ class TestSweepEngine:
         monkeypatch.setattr(spectra, "_stream", counted_stream)
         return calls
 
-    @pytest.mark.parametrize("gaps", [[1.0], [1.0, 0.5, 0.25, 0.125]], ids=["qubit", "five_levels"])
-    def test_sigma_sweep_builds_the_bath_arrays_once(self, monkeypatch, gaps):
+    @pytest.mark.parametrize(
+        "gaps, n", [([1.0], 15), ([1.0, 0.5, 0.25, 0.125], 13)], ids=["qubit", "five_levels"]
+    )
+    def test_sigma_sweep_builds_the_bath_arrays_once(self, monkeypatch, gaps, n):
         # The weight-independent work of a sigma sweep is done once, for a
         # qubit and for a five-level system alike: one bath mean energy and
         # one sorted bath energy array, and no bath probability array. One walk
         # reads 27 streams off that array in rank windows: the joint energies
         # (the levels folded into it) and the keys of rho and of each point's
         # sigma (their eigenvalues' offsets folded into it). No joint array
-        # is folded whole.
+        # is folded whole. The 2^16 and 5 * 2^13 ranks are more than one sum
+        # block, so the walk is planned.
         calls = self._count_joint_builds(monkeypatch)
-        config = sigma_sweep_config(4)
+        config = sigma_sweep_config(n)
         config["system"] = {"gaps": gaps, "state": "plus"}
         rows = run_sweep(parse_config(config))
         assert len(rows) == 25

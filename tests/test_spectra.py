@@ -38,6 +38,7 @@ from ergolock.spectra import (
     gibbs_ensemble,
     passive_energies,
 )
+from ergolock.verify import run_verification
 
 from helpers import FactorizedEnsemble, bath_ensemble, expand, tensor
 
@@ -327,6 +328,21 @@ class TestBathEnergies:
         assert info.value.size == 1 << 20001
         assert str(info.value) == (
             f"expansion of about 7.96e6020 elements exceeds the cap of {1 << 26}"
+        )
+
+    def test_cap_refusal_builds_no_size(self):
+        # 2 << 10^8 is a 12.5 MB integer; the refusal needs only bit lengths,
+        # and the error builds the size only when it is read.
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeCapError) as info:
+                spectra._check_cap(2, 10**8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+        assert str(info.value) == (
+            f"expansion of about 7.37e30102999 elements exceeds the cap of {1 << 26}"
         )
 
     def test_cap_message_states_the_full_size(self, monkeypatch):
@@ -860,14 +876,15 @@ class TestStreamedPassive:
             assert walk([], [0.0, 1.0], custom_bath(1.0, [0.5, 1.0])) == []
 
     @pytest.mark.parametrize(
-        "cpus, qubits, count, want", [(2, 16, 26, 2), (1, 16, 26, 1), (2, 16, 1, 1), (2, 14, 26, 1)]
+        "cpus, qubits, count, want", [(2, 16, 26, 2), (1, 16, 26, 1), (2, 16, 1, 1), (2, 14, 26, 0)]
     )
     def test_part_count_follows_the_cells(self, cpus, qubits, count, want):
         # Two levels and 16 bath qubits: 2^17 ranks, one window. Its 26
         # cells, a sigma sweep's, make 26 * 2^17 products, past the
         # crossover, so they are split over the CPUs; one state's 2^17
-        # products are not. With 14 qubits the 2^15 ranks are one block,
-        # summed under the GIL, and 26 states stay on one part.
+        # products are not. With 14 qubits the 2^15 ranks are one sum
+        # block: 26 states are summed on the direct path, and the walk makes
+        # no _run_parts call.
         bath = skrzypczyk_bath(qubits, 1.0, 1.0)
         levels = np.array([0.0, 1.0])
         assert levels.size << bath.n_qubits <= spectra._CHUNK
@@ -885,7 +902,7 @@ class TestStreamedPassive:
         with forced_parts(cpus, spectra._PARALLEL_MIN), pytest.MonkeyPatch.context() as patch:
             patch.setattr(spectra, "_run_parts", recording)
             got = walk(states, levels, bath)
-        assert counts == [want]
+        assert counts == ([want] if want else [])
         assert np.array_equal(bits(got), bits(one))
 
     def test_report_holds_no_joint_array(self, plus_state, qubit_h):
@@ -902,6 +919,92 @@ class TestStreamedPassive:
         finally:
             tracemalloc.stop()
         assert peak < 16 << 20, peak
+
+
+# name: (T; gaps in units of T, cycled over the qubits; levels in units of
+# T; each state's eigenvalues). Negative levels and a -0.0 level give
+# signed-zero products, an equal-gap bath large tie groups, levels near
+# 1e308 joint energies that tie and sum close to the largest double, and
+# T = 1e-300 or 1e280 a walk rescaled by a power of two, its levels raised
+# above the bath so no product is subnormal.
+BLOCK_CASES = {
+    "negative_levels": (1.0, [0.5, 1.0, 1.0, 2.0], [-1.5, -0.25, 0.0, 2.0],
+                        [[1.0, 0.0, 0.0, 0.0], [0.4, 0.3, 0.2, 0.1]]),
+    "signed_zero_level": (1.3, [0.4, 0.9, 0.9], [-0.0, 1.0], [[0.7, 0.3], [0.0, 1.0]]),
+    "zero_eigenvalues": (0.8, [0.3, 1.1, 1.1, 2.0], [0.0, 0.5, 1.0, 1.0],
+                         [[0.75, 0.0, 0.25, -0.0], [0.5, 0.5, 0.0, 0.0]]),
+    "nan_eigenvalue": (1.0, [0.5, 1.0], [0.0, 1.0], [[math.nan, 0.5], [0.5, 0.5]]),
+    "ties": (1.0, [1.0], [0.0, 1.0, 1.0, 2.0], [[0.25, 0.25, 0.25, 0.25], [0.5, 0.3, 0.2, 0.0]]),
+    "huge_sums": (1.0, [0.5, 1.0, 1.0, 2.0], [1e308, 1.5e308], [[0.6, 0.4], [1.0, 0.0]]),
+    "cold": (1e-300, [0.5, 1.0, 1.0, 2.0], [1e10, 1.5e10, 2.5e10, 4e10],
+             [[0.5, 0.25, 0.25, 0.0], [0.4, 0.3, 0.2, 0.1]]),
+    "hot": (1e280, [0.5, 1.0, 1.0, 2.0], [-3.0, 0.0, 1.0, 2.0],
+            [[0.5, 0.25, 0.25, 0.0], [0.4, 0.3, 0.2, 0.1]]),
+    "three_levels": (1.0, [0.5, 1.0, 1.0, 2.0], [0.0, 0.6, 1.3],
+                     [[0.5, 0.3, 0.2], [1.0, 0.0, 0.0]]),
+}
+
+
+def block_case(name: str, qubits: int):
+    temperature, unit_gaps, levels, states = BLOCK_CASES[name]
+    gaps = temperature * np.resize(np.array(unit_gaps), qubits)
+    levels = temperature * np.array(levels)
+    return [np.array(v) for v in states], levels, custom_bath(temperature, gaps)
+
+
+class TestDirectPath:
+    """A walk of at most one sum block of joint ranks sorts each joint
+    multiset whole and sums each state with one fsum, and a fold of at most
+    one block and one chunk on one part is one write and one sort: the
+    planned bits, without the planner."""
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_CASES))
+    @pytest.mark.parametrize("side", ["direct", "planned"])
+    def test_equals_the_sorted_dot_on_both_sides_of_the_block(self, name, side):
+        # The largest bath whose joint size is at most 2^15 (2^15 itself for
+        # two and four levels), and one qubit more, which the planner walks.
+        d = len(BLOCK_CASES[name][2])
+        qubits = (spectra._SUM_BLOCK // d).bit_length() - 1 + (side == "planned")
+        states, levels, bath = block_case(name, qubits)
+        n = d << qubits
+        assert (n <= spectra._SUM_BLOCK) == (side == "direct")
+        got = walk(states, levels, bath)
+        want = [keyed_passive(values, levels, bath) for values in states]
+        assert np.array_equal(bits(got), bits(want)), (got, want)
+
+    def test_a_fold_keeps_signed_zeros_in_run_order(self):
+        # -0.0 + -0.0 is -0.0, and 0.0 + -0.0 is 0.0: equal sums of other
+        # bits, which only a stable sort keeps in run order, as the planned
+        # chunks do. numpy's default sort reorders them at this size.
+        s = np.sort(np.array([-0.0, 0.0] * 1000 + [1.0] * 48), kind="stable")
+        f = np.array([-0.0, 0.0, 1.0])
+        want = np.sort(np.add.outer(f, s), axis=None, kind="stable")
+        direct = spectra._fold(s, f, np.empty(want.size))
+        with forced_parts(2):
+            planned = spectra._fold(s, f, np.empty(want.size))
+        assert np.array_equal(bits(direct), bits(want))
+        assert np.array_equal(bits(planned), bits(want))
+
+    def test_a_verify_sized_call_plans_nothing(self, monkeypatch):
+        # Every passive energy that verify takes is below one sum block, so
+        # no stream is planned and no part is run. A fold cut into two parts
+        # still plans its chunks.
+        calls = []
+        stream, run_parts = spectra._stream, spectra._run_parts
+        monkeypatch.setattr(spectra, "_stream", lambda *a: calls.append("stream") or stream(*a))
+        monkeypatch.setattr(
+            spectra, "_run_parts", lambda *a: calls.append("parts") or run_parts(*a)
+        )
+        summary = run_verification(trials=4, seed=7)
+        assert summary["pass"] is True
+        states, levels, bath = block_case("zero_eigenvalues", 4)
+        assert walk(states, levels, bath) == [keyed_passive(v, levels, bath) for v in states]
+        assert calls == []
+        s, f = bath_energies(bath), np.array([0.0, 0.5])
+        with forced_parts(2):
+            got = spectra._fold(s, f, np.empty(2 * s.size))
+        assert calls == ["stream", "parts"]
+        assert np.array_equal(bits(got), bits(np.sort(np.add.outer(f, s), axis=None)))
 
 
 # 1e308 + 1e308 overflows to inf, on the caller and on pool threads alike.
@@ -972,17 +1075,20 @@ class TestIntegerKeys:
     def test_walk_streams_are_int64_on_non_negative_levels(self, monkeypatch):
         # The bath folds [0.0, g], the energies of levels >= 0 and the keys
         # T (ln Z - ln lambda) >= 0, of a pure and a mixed state, on 12
-        # qubits: every stream, whatever its size, sorts as int64.
+        # qubits: every stream, whatever its size, sorts as int64. Sums in
+        # blocks of one element plan every fold and the walk.
         made = self.streams(monkeypatch)
-        walk([np.array([1.0, 0.0]), np.array([0.6, 0.4])], [0.0, 1.5],
-             custom_bath(1.0, [0.5, 1.0, 1.0, 2.0] * 3))
+        with streamed_sizes(1, spectra._CHUNK, 1):
+            walk([np.array([1.0, 0.0]), np.array([0.6, 0.4])], [0.0, 1.5],
+                 custom_bath(1.0, [0.5, 1.0, 1.0, 2.0] * 3))
         sizes = [len(stream.values) * stream.s.size for stream in made]
         assert sizes == [2 << k for k in range(12)] + [1 << 13, 1 << 12, 1 << 13]
         assert all(stream.key is np.int64 for stream in made)
 
     def test_a_negative_level_sorts_its_energies_as_floats(self, monkeypatch):
         made = self.streams(monkeypatch)
-        walk([np.array([0.6, 0.4])], [-0.5, 1.5], custom_bath(1.0, [0.5, 1.0] * 6))
+        with streamed_sizes(1, spectra._CHUNK, 1):
+            walk([np.array([0.6, 0.4])], [-0.5, 1.5], custom_bath(1.0, [0.5, 1.0] * 6))
         energies, keys = made[-2:]
         assert energies.values == [-0.5, 1.5] and energies.key is np.float64
         assert keys.key is np.int64
