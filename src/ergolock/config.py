@@ -167,14 +167,30 @@ def _parse_state(raw: Any, dim: int, path: str) -> DensityOperator:
 def _parse_sweep_values(raw: dict, parameter: str, path: str) -> tuple[float, ...]:
     if ("values" in raw) == ("range" in raw):
         raise _fail(path, 'provide exactly one of "values" or "range"')
+    if parameter == "N":
+        rule = "N values must be integers >= 0"
+    else:
+        rule = "sigma_over_omega values must be > 0"
+
+    def check(values: np.ndarray, field: str) -> None:
+        # Names the field the value was written in: a listed value, or the range.
+        if parameter == "N":
+            bad = (values != np.trunc(values)) | (values < 0)
+        else:
+            bad = values <= 0
+        if bad.any():
+            i = int(bad.argmax())
+            raise _fail(field.format(i), f"{rule}, got {float(values[i])!r}")
+
     if "values" in raw:
-        values = raw["values"]
-        if not isinstance(values, list) or not values:
+        listed = raw["values"]
+        if not isinstance(listed, list) or not listed:
             raise _fail(f"{path}.values", "expected a non-empty list")
-        out = [_as_real(v, f"{path}.values[{i}]") for i, v in enumerate(values)]
+        out = np.array([_as_real(v, f"{path}.values[{i}]") for i, v in enumerate(listed)])
+        field = f"{path}.values[{{}}]"
     else:
         rng = raw["range"]
-        rpath = f"{path}.range"
+        rpath = field = f"{path}.range"
         _check_keys(rng, {"from", "to", "steps", "spacing"}, rpath)
         start = _as_real(_require(rng, "from", rpath), f"{rpath}.from")
         stop = _as_real(_require(rng, "to", rpath), f"{rpath}.to")
@@ -186,21 +202,17 @@ def _parse_sweep_values(raw: dict, parameter: str, path: str) -> tuple[float, ..
             for key, end in (("from", start), ("to", stop)):
                 if end <= 0:
                     raise _fail(f"{rpath}.{key}", "log spacing needs positive endpoints")
-            out = list(np.geomspace(start, stop, steps))
-        else:
-            out = list(np.linspace(start, stop, steps))
-    if any(b <= a for a, b in zip(out, out[1:])):
+        # The endpoints are checked before any of the steps values is built.
+        if steps > 1 and stop <= start:
+            raise _fail(path, "sweep values must be strictly increasing")
+        check(np.array([start, stop][:steps]), field)
+        space = np.geomspace if spacing == "log" else np.linspace
+        out = space(start, stop, steps)
+    if not np.all(out[1:] > out[:-1]):
         raise _fail(path, "sweep values must be strictly increasing")
-    if parameter == "N":
-        bad, rule = [v != int(v) or v < 0 for v in out], "N values must be integers >= 0"
-    else:
-        bad, rule = [v <= 0 for v in out], "sigma_over_omega values must be > 0"
-    if any(bad):
-        # Names the field the value was written in: a listed value, or the range.
-        i = bad.index(True)
-        field = f"{path}.values[{i}]" if "values" in raw else f"{path}.range"
-        raise _fail(field, f"{rule}, got {float(out[i])!r}")
-    return tuple(float(int(v)) if parameter == "N" else float(v) for v in out)
+    check(out, field)
+    # An N of -0.0 is the integer 0.
+    return tuple((out + 0.0 if parameter == "N" else out).tolist())
 
 
 def parse_config(data: dict) -> ExperimentConfig:

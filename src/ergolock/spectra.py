@@ -5,14 +5,15 @@ paired list of (probability, energy): a :class:`SpectralEnsemble`.
 Passive energies need only the two joint multisets, each in ascending order.
 In a thermal bath a configuration's probability depends on its energy alone,
 so :func:`passive_energies` builds the bath's sorted energy levels once,
-folding in one qubit gap at a time as a linear merge of two sorted runs. It
+folding in three qubit gaps at a time as a merge of eight sorted runs. It
 keys both joint streams by that one array and walks them in rank-aligned,
 cache-sized windows: no joint-sized array is held past one sum block, and
 a fold or walk within one is written whole and sorted in one call. One
 planner (``_stream``) cuts a larger fold and walk alike at exact pivot
-ranks. Each piece is a stable merge of sorted runs, done on the sums' int64
-bit patterns where none can be negative, -0.0 or NaN, and not at all for
-one such run.
+ranks. Each piece is a merge of sorted runs, done on the sums' int64 bit
+patterns where none can be negative, -0.0 or NaN (by timsort for two runs,
+numpy's default sort for more, and not at all for one), and by a stable
+float sort elsewhere.
 A large fold is cut into one part per CPU in the process's affinity mask,
 and a large walk into (window, state) cells shared out over those CPUs by
 estimated cost, with the same result bit for bit. Small non-diagonal system
@@ -45,6 +46,10 @@ PROB_SUM_ATOL = 1e-10
 DEFAULT_EXPANSION_CAP = 1 << 26
 
 _SUM_BLOCK = 1 << 15
+
+# Row i of _SUBSETS[k] marks the gaps of the i-th subset of a group of k,
+# the group's first gap in the highest bit.
+_SUBSETS = [np.arange(1 << k)[:, None] >> np.arange(k)[::-1] & 1 == 1 for k in range(4)]
 
 # A fold is written and sorted in value-range chunks of about this many
 # elements, so a sort's merge buffer stays cache-sized.
@@ -379,19 +384,23 @@ def _log_partition(gaps: np.ndarray, temperature: float) -> float:
 
 
 def _bath_energies(gaps: np.ndarray) -> np.ndarray:
-    # Ascending sums of every subset of the gaps: each gap g is folded into
-    # the sorted sums s as the runs 0.0 + s and g + s. IEEE + is commutative,
-    # so this equals np.sort of the bath's expanded energies bit for bit.
-    # The last fold lands in the result, the one before it in a scratch
-    # buffer of half the size, and so on back, so the chain allocates two
-    # arrays.
-    s = np.zeros(1)
-    size = 1 << len(gaps)
-    out, scratch = np.empty(size), np.empty(size // 2)
-    if len(gaps) % 2 == 0:
+    # Ascending sums of every subset of the gaps, folded three gaps at a time:
+    # a group's 2^3 runs (fewer for a first group of one or two) add each of
+    # its subsets to the sorted sums s, a gap or +0.0 per addend in gap order,
+    # so every sum is added as ((0.0 + g_1) + ...) + g_N, or +0.0 in place of
+    # an absent gap, as a chain of one-gap folds adds it. IEEE + is
+    # commutative, so this equals np.sort of the bath's expanded energies bit
+    # for bit. The last fold lands in the result, the one before it in a
+    # scratch buffer of an eighth of the size, and so on back, so the chain
+    # allocates two arrays.
+    n = len(gaps)
+    bounds = [0, *range(n % 3 or 3, n + 1, 3)]
+    s, out, scratch = np.zeros(1), np.empty(1 << n), np.empty((1 << n) >> 3)
+    if len(bounds) % 2:
         out, scratch = scratch, out
-    for g in gaps:
-        s = _fold(s, np.array([0.0, g]), out[: 2 * s.size])
+    for a, b in zip(bounds, bounds[1:]):
+        rows = np.where(_SUBSETS[b - a], gaps[a:b], 0.0)
+        s = _fold(s, rows, out[: rows.shape[0] * s.size])
         out, scratch = scratch, out
     return s
 
@@ -494,22 +503,24 @@ def _cell_costs(energies: _Stream, states: list, width: int, n: int) -> list:
 
 
 def _fold(s: np.ndarray, f: np.ndarray, out: np.ndarray) -> np.ndarray:
-    # Sorted multiset of c + x over c in f and x in the sorted s, written
-    # into out. Each run c + s is sorted, because x -> x + c is monotone in
-    # IEEE-754, and a stable sort (timsort) merges a few such runs in linear
-    # time. The fold is planned as the walk is, after Odeh et al., "Merge
-    # Path", IPDPS Workshops 2012: pivots come from a strided sample, and
-    # one bisection finds each pivot's exact rank in every run. Every 16th
-    # pivot (or the last, for a one-window stream) bounds a chunk of about
-    # _CHUNK values, at least one per part where the values allow, and each
-    # chunk is written and sorted in its own slice of out, so a merge buffer
-    # is at most about half a chunk. _run_parts shares the chunks out, one
-    # unit of cost each. All copies of a value (a -0.0 and a 0.0 included)
-    # fall in one chunk, in the order one whole-array stable sort would meet
-    # them, so the result is the same array bit for bit, however it is cut,
-    # and whether it is sorted as floats or, where _stream finds no value
-    # below +0.0, as int64 bit patterns. A fold of at most one sum block that
-    # the plan would write as one chunk on one part is _sorted_sums instead.
+    # Sorted multiset of the runs' sums over the sorted s, written into out:
+    # c + x for each value c of a one-dimensional f, or ((x + a) + b) + c
+    # for each row (a, b, c) of a two-dimensional one (see _add_runs). Each
+    # run is sorted, because x -> x + c is monotone in IEEE-754, and a sort
+    # merges them (see _write_chunk). The fold is planned as the walk is,
+    # after Odeh et al., "Merge Path", IPDPS Workshops 2012: pivots come
+    # from a strided sample, and one bisection finds each pivot's exact rank
+    # in every run. Every 16th pivot (or the last, for a one-window stream)
+    # bounds a chunk of about _CHUNK values, at least one per part where the
+    # values allow, and each chunk is written and sorted in its own slice of
+    # out, so a sort's buffer is at most about half a chunk. _run_parts
+    # shares the chunks out, one unit of cost each. All copies of a value (a
+    # -0.0 and a 0.0 included) fall in one chunk, in the order one
+    # whole-array stable sort would meet them, so the result is the same
+    # array bit for bit, however it is cut, and whether it is sorted as
+    # floats or, where _stream finds no value below +0.0, as int64 bit
+    # patterns. A fold of at most one sum block that the plan would write as
+    # one chunk on one part is _sorted_sums instead.
     if out.size <= min(_SUM_BLOCK, _CHUNK) and _parts(out.size) == 1:
         return _sorted_sums(s, f, out)
     stream = _stream(s, f, min(_CHUNK, -(-out.size // _parts(out.size))))
@@ -524,20 +535,34 @@ def _fold(s: np.ndarray, f: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _add_runs(f: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # Each run's sums over x, indexed [run, x's last axis]: c + x for each
+    # value c of a one-dimensional f, and for each row (a, b, c) of a
+    # two-dimensional one ((x + a) + b) + c, added left to right as a chain
+    # of one-value folds adds them.
+    if f.ndim == 1:
+        return np.add(f[:, None], x, out=out)
+    out = np.add(x, f[:, :1], out=out)
+    for j in range(1, f.shape[1]):
+        np.add(out, f[:, j : j + 1], out=out)
+    return out
+
+
 def _sorted_sums(s: np.ndarray, f: np.ndarray, out: np.ndarray) -> np.ndarray:
-    # The sorted c + x over c in f and x in s, written whole into out and
-    # stably sorted as floats: the bits of one planned chunk. The runs c + s
-    # are written in the plan's order, so the sort meets ties as a chunk's
-    # does, and where the plan sorts int64 bit patterns (no sum below +0.0
-    # and no NaN), two sums compare equal only when their bits are equal.
-    np.add.outer(f, s, out=out.reshape(f.size, s.size))
+    # The runs' sorted sums over s, written whole into out and stably sorted
+    # as floats: the bits of one planned chunk. The runs are written in the
+    # plan's order, so the sort meets ties as a chunk's does, and where the
+    # plan sorts int64 bit patterns (no sum below +0.0 and no NaN), two sums
+    # compare equal only when their bits are equal.
+    _add_runs(f, s, out.reshape(len(f), s.size))
     out.sort(kind="stable")
     return out
 
 
 class _Stream(NamedTuple):
-    # The sums of values and the sorted s, planned for reads at any ranks.
-    # Row j of edges holds each run's edge at pivot j (see _run_pieces), and
+    # The runs' sums over the sorted s, planned for reads at any ranks. Each
+    # run is the tuple of addends that _write_chunk applies in turn. Row j
+    # of edges holds each run's edge at pivot j (see _run_pieces), and
     # ranks[j] the count of sums below that pivot; the first and last
     # pivots stand for -inf and +inf. A window of width ranks sorts at most
     # largest values. A piece is sorted as key: int64 where no sum can be
@@ -554,19 +579,26 @@ def _stream(s: np.ndarray, f: np.ndarray, width: int) -> _Stream:
     # A fold of more than width values is cut by 16 pivots per width ranks,
     # read off a strided sample of about 16 values per pivot gap and at
     # least 2^11; _run_pieces places each pivot in every run exactly.
-    # Where every value and s[0] is +0.0 or above and s holds no NaN, each
-    # sum c + x is too (+0.0 + -0.0 is +0.0), and such doubles sort as their
-    # bit patterns do, ties included: an int64 sort skips the NaN-aware
-    # float compare and gives the same bits.
-    size = f.size * s.size
-    values = f.tolist()
-    clear = all(x >= 0.0 and math.copysign(1.0, x) > 0.0 for x in [float(s[0]), *values])
+    # Where every addend and s[0] is +0.0 or above and s holds no NaN, each
+    # sum is too (+0.0 + -0.0 is +0.0), and such doubles sort as their bit
+    # patterns do, ties included: an int64 sort skips the NaN-aware float
+    # compare and gives the same bits. A run of one addend is written as
+    # it is; a longer run's zero addends are dropped where it has a nonzero
+    # one, which erases a zero's sign wherever it is added, so every sum
+    # keeps its bits.
+    size = len(f) * s.size
+    addends = f.ravel().tolist()
+    clear = all(x >= 0.0 and math.copysign(1.0, x) > 0.0 for x in [float(s[0]), *addends])
     key = np.int64 if clear and not math.isnan(s[-1]) else np.float64
+    if f.ndim == 1:
+        values = list(zip(addends))
+    else:
+        values = [tuple(c for c in run if c) or tuple(run) for run in f.tolist()]
     if size <= width:
-        return _Stream(s, values, [[0] * f.size, [s.size] * f.size], [0, size], size, key)
+        return _Stream(s, values, [[0] * len(f), [s.size] * len(f)], [0, size], size, key)
     count = 16 * -(-size // width)
     stride = max(1, size // max(16 * count, 1 << 11))
-    sample = np.sort(np.add.outer(f, s[::stride]), axis=None)
+    sample = np.sort(_add_runs(f, s[::stride]), axis=None)
     edges = _run_pieces(f, s, sample[sample.size * np.arange(1, count) // count])
     ranks = edges.sum(axis=1).tolist()
     # A window reaches back to a pivot less than one gap below it, and on
@@ -589,35 +621,42 @@ def _window(stream: _Stream, lo: int, hi: int, buffer: np.ndarray) -> np.ndarray
 
 def _write_chunk(stream: _Stream, a: int, b: int, out: np.ndarray) -> np.ndarray:
     # Writes each run's piece between pivots a and b into out in run order
-    # and sorts it stably as the stream's key, so ties keep the order one
-    # whole-array stable sort would give them. One run's piece c + s[lo:hi]
-    # is sorted already, as x -> x + c is monotone; on an int64 key, where
-    # no sum is NaN, it is not sorted again.
+    # and sorts it as the stream's key. One run's piece, its addends added
+    # in turn to s[lo:hi], is sorted already, as x -> x + c is monotone; on
+    # an int64 key, where no sum is NaN, it is not sorted again. Float
+    # pieces are sorted stably, so ties keep the order one whole-array
+    # stable sort would give them, and so are two runs, which timsort merges
+    # in linear time. Equal int64 keys have equal bits, so a piece of more
+    # runs takes numpy's default sort (introsort, vectorised where the CPU
+    # allows), which is faster at three runs or more.
     pos = 0
-    for c, lo, hi in zip(stream.values, stream.edges[a], stream.edges[b]):
-        np.add(c, stream.s[lo:hi], out=out[pos : pos + hi - lo])
+    for run, lo, hi in zip(stream.values, stream.edges[a], stream.edges[b]):
+        piece = out[pos : pos + hi - lo]
+        np.add(run[0], stream.s[lo:hi], out=piece)
+        for c in run[1:]:
+            np.add(piece, c, out=piece)
         pos += hi - lo
-    if stream.key is np.float64 or len(stream.values) > 1:
-        out.view(stream.key).sort(kind="stable")
+    keyed, runs = stream.key is np.int64, len(stream.values)
+    if not keyed or runs > 1:
+        out.view(stream.key).sort(kind=None if keyed and runs > 2 else "stable")
     return out
 
 
 def _run_pieces(f: np.ndarray, s: np.ndarray, pivots: np.ndarray) -> np.ndarray:
-    # The edges, indexed [edge, run], that cut each run f[run] + s at the
-    # pivots: row 0 is the run's start, then one row per pivot, then its
-    # end. A cut is the first index whose value is >= the pivot, so an edge
-    # counts the run's values below its pivot. One branch-free bisection
-    # (Khuong and Morin, "Array layouts for comparison-based searching",
-    # 2017) finds every run's cuts at once; it evaluates the sums at the
-    # probed elements only, so no run is built.
-    runs = f[:, None]
-    base, n = np.zeros((f.size, pivots.size), dtype=np.intp), s.size
+    # The edges, indexed [edge, run], that cut each run of f over s (see
+    # _add_runs) at the pivots: row 0 is the run's start, then one row per
+    # pivot, then its end. A cut is the first index whose value is >= the
+    # pivot, so an edge counts the run's values below its pivot. One
+    # branch-free bisection (Khuong and Morin, "Array layouts for
+    # comparison-based searching", 2017) finds every run's cuts at once; it
+    # evaluates the sums at the probed elements only, so no run is built.
+    base, n = np.zeros((len(f), pivots.size), dtype=np.intp), s.size
     while n > 1:
         half = n // 2
         probe = base + half
-        base = np.where(runs + s[probe] < pivots, probe, base)
+        base = np.where(_add_runs(f, s[probe]) < pivots, probe, base)
         n -= half
-    cuts = base + (runs + s[base] < pivots)
+    cuts = base + (_add_runs(f, s[base]) < pivots)
     return np.pad(cuts, ((0, 0), (1, 1)), constant_values=(0, s.size)).T
 
 

@@ -3,6 +3,7 @@ import importlib
 import io
 import json
 import math
+import tracemalloc
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -439,6 +440,33 @@ class TestCliProcess:
         small, huge = json.loads(out.read_text())
         assert small["resource_ergotropy"] is not None and "error" not in small
         assert (huge["value"], huge["error"]) == (1e9, "size-cap")
+
+    @pytest.mark.parametrize(
+        "parameter, start, stop, message",
+        [
+            ("N", -1, 5, "sweep.range: N values must be integers >= 0, got -1.0"),
+            ("N", 0, 4.5, "sweep.range: N values must be integers >= 0, got 4.5"),
+            ("sigma_over_omega", 0.0, 3.0,
+             "sweep.range: sigma_over_omega values must be > 0, got 0.0"),
+            ("sigma_over_omega", 3.0, 0.5, "sweep: sweep values must be strictly increasing"),
+        ],
+    )
+    def test_bad_range_endpoint_is_refused_before_its_values_are_built(
+        self, tmp_path, capsys, parameter, start, stop, message
+    ):
+        # 10^8 steps would be an 800 MB array of values: a bad endpoint is
+        # refused from the endpoints alone.
+        cfg = self.write_config(tmp_path, base_config(
+            sweep={"parameter": parameter, "range": {"from": start, "to": stop, "steps": 10**8}}))
+        tracemalloc.start()
+        try:
+            code = main(["sweep", "--config", cfg])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert peak < 1 << 20, peak
 
     def test_capped_sigma_sweep_marks_every_row(self, tmp_path):
         cfg = self.write_config(tmp_path, sigma_sweep_config(27))

@@ -296,7 +296,7 @@ GAP_LISTS = {
 
 
 class TestBathEnergies:
-    """The bath's sorted energy array, folded one gap at a time."""
+    """The bath's sorted energy array, folded three gaps at a time."""
 
     @pytest.mark.parametrize("parts", [1, 2, 3])
     @pytest.mark.parametrize("name", sorted(GAP_LISTS))
@@ -306,6 +306,41 @@ class TestBathEnergies:
         with streamed_sizes(parts, chunk):
             got = spectra._bath_energies(gaps)
         assert np.array_equal(bits(got), bits(bath_energies(BathSpec(T=1.0, gaps=gaps))))
+
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    @pytest.mark.parametrize("n", [*range(14), 15, 16, 17])
+    def test_every_group_size_equals_the_sorted_expansion(self, parts, n):
+        # N = 0..17 gives a first group of one, two and three gaps. At one
+        # part and the real chunk every fold up to 2^15 elements takes the
+        # direct path and larger ones are planned; more parts, or chunks of
+        # 4 (N <= 13), plan every fold.
+        rng = np.random.default_rng(n)
+        cases = [rng.uniform(0.2, 2.5, n), np.resize([1.0, 0.5, 1.0, 2.5], n)]
+        if n:
+            cases.append(skrzypczyk_bath(n, 1.0, 1.0).gaps)
+        for gaps in cases:
+            want = bits(bath_energies(BathSpec(T=1.0, gaps=gaps)))
+            for chunk in [4, spectra._CHUNK] if n <= 13 else [spectra._CHUNK]:
+                with streamed_sizes(parts, chunk):
+                    got = spectra._bath_energies(gaps)
+                assert np.array_equal(bits(got), want), (gaps, chunk)
+
+    @pytest.mark.parametrize("parts", [1, 2])
+    def test_build_peaks_at_an_eighth_over_its_array(self, parts):
+        # The last fold writes the 2^20 sums from the 2^17 of the fold
+        # before it: 9 MiB of arrays, where folding one gap at a time read a
+        # 2^19 scratch array (12 MiB). The slack covers the plan's sample,
+        # edges and rank lists.
+        gaps = skrzypczyk_bath(20, 1.0, 1.0).gaps
+        with forced_parts(parts, spectra._PARALLEL_MIN):
+            tracemalloc.start()
+            try:
+                energies = spectra._bath_energies(gaps)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert energies.nbytes == 8 << 20
+        assert peak <= energies.nbytes * 9 // 8 + (512 << 10), peak
 
     def test_cap_raises_before_folding(self, monkeypatch):
         folds, fold = [], spectra._fold
@@ -318,7 +353,8 @@ class TestBathEnergies:
         assert info.value.cap == 100
         monkeypatch.setattr(spectra, "DEFAULT_EXPANSION_CAP", 512)
         assert len(passive_energies(state, np.zeros(2), gaps, 1.0)) == 1
-        assert len(folds) == 8
+        # Eight gaps fold as a group of two and two groups of three.
+        assert [f.shape for f in folds] == [(4, 2), (8, 3), (8, 3)]
 
     def test_cap_message_for_a_huge_bath(self, monkeypatch):
         # 2^20001 has 6022 decimal digits, more than Python will format.
@@ -857,6 +893,32 @@ class TestStreamedPassive:
         assert np.array_equal(bits(got), bits(one))
         assert one[:2] == [keyed_passive(values, levels, bath) for values in states[:2]]
 
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    @pytest.mark.parametrize("d", [3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("signs", ["repeated", "negative"])
+    def test_many_level_walk_equals_the_sorted_dot(self, parts, d, signs, monkeypatch):
+        # d levels on 8 bath qubits, planned in windows of 256 ranks: the
+        # keys of a mixed state (and the energies of non-negative levels)
+        # are int64 streams of d runs, whose pieces take the default sort.
+        # Repeated levels and eigenvalues make ties across runs; negative
+        # levels sort the energies as floats.
+        rng = np.random.default_rng(10 * d + parts)
+        if signs == "repeated":
+            levels = np.repeat(np.linspace(0.0, 2.0, d), 2)[:d]
+        else:
+            levels = np.linspace(-1.5, 1.0, d)
+        raw = np.repeat(rng.uniform(0.1, 1.0, d), 2)[:d]
+        states = [raw / raw.sum(), np.eye(d)[d // 2], np.r_[0.5, 0.5, np.zeros(d - 2)]]
+        bath = custom_bath(0.9, [0.5, 1.0, 1.0, 1.5, 2.0, 2.0, 0.25, 3.0])
+        made, stream = [], spectra._stream
+        monkeypatch.setattr(spectra, "_stream", lambda *a: made.append(stream(*a)) or made[-1])
+        with streamed_sizes(parts, 256, 64):
+            want = [keyed_passive(values, levels, bath) for values in states]
+            made.clear()
+            got = walk(states, levels, bath)
+        assert np.array_equal(bits(got), bits(want)), (got, want)
+        assert any(s.key is np.int64 and len(s.values) == d and len(s.ranks) > 2 for s in made)
+
     @pytest.mark.parametrize("exponent", [1023, -1060])
     def test_extreme_temperatures_scale_exactly(self, exponent):
         # Scaling T, the gaps and the levels by 2^k scales the passive
@@ -907,7 +969,7 @@ class TestStreamedPassive:
 
     def test_report_holds_no_joint_array(self, plus_state, qubit_h):
         # An N = 20 qubit report has 2^21 joint elements (16 MiB), and the
-        # bath's one sorted energy array takes 8 MiB, with a 4 MiB scratch
+        # bath's one sorted energy array takes 8 MiB, with a 1 MiB scratch
         # buffer while it is built. A traced peak below 16 MiB leaves no
         # room for a joint-sized array.
         bath = skrzypczyk_bath(20, 1.0, 1.0)
@@ -1073,16 +1135,17 @@ class TestIntegerKeys:
         return made
 
     def test_walk_streams_are_int64_on_non_negative_levels(self, monkeypatch):
-        # The bath folds [0.0, g], the energies of levels >= 0 and the keys
-        # T (ln Z - ln lambda) >= 0, of a pure and a mixed state, on 12
-        # qubits: every stream, whatever its size, sorts as int64. Sums in
-        # blocks of one element plan every fold and the walk.
+        # The bath's four folds of three gaps' subsets, the energies of
+        # levels >= 0 and the keys T (ln Z - ln lambda) >= 0, of a pure and a
+        # mixed state, on 12 qubits: every stream, whatever its size, sorts
+        # as int64. Sums in blocks of one element plan every fold and the
+        # walk.
         made = self.streams(monkeypatch)
         with streamed_sizes(1, spectra._CHUNK, 1):
             walk([np.array([1.0, 0.0]), np.array([0.6, 0.4])], [0.0, 1.5],
                  custom_bath(1.0, [0.5, 1.0, 1.0, 2.0] * 3))
         sizes = [len(stream.values) * stream.s.size for stream in made]
-        assert sizes == [2 << k for k in range(12)] + [1 << 13, 1 << 12, 1 << 13]
+        assert sizes == [8 << 3 * k for k in range(4)] + [1 << 13, 1 << 12, 1 << 13]
         assert all(stream.key is np.int64 for stream in made)
 
     def test_a_negative_level_sorts_its_energies_as_floats(self, monkeypatch):
@@ -1090,7 +1153,7 @@ class TestIntegerKeys:
         with streamed_sizes(1, spectra._CHUNK, 1):
             walk([np.array([0.6, 0.4])], [-0.5, 1.5], custom_bath(1.0, [0.5, 1.0] * 6))
         energies, keys = made[-2:]
-        assert energies.values == [-0.5, 1.5] and energies.key is np.float64
+        assert energies.values == [(-0.5,), (1.5,)] and energies.key is np.float64
         assert keys.key is np.int64
 
     @pytest.mark.parametrize("s, f, key", [
@@ -1125,6 +1188,45 @@ class TestIntegerKeys:
         # sums are +0.0, and 1e308 + 1e308 is inf.
         s, f = np.sort(np.array(seed), kind="stable"), np.array(values)
         want = np.sort(np.add.outer(f, s), axis=None, kind="stable")
+        stream = spectra._stream(s, f, width)
+        for key in (np.int64, np.float64):
+            forced = stream._replace(key=key)
+            got = np.concatenate([
+                spectra._write_chunk(forced, a, a + 1, np.empty(hi - lo))
+                for a, (lo, hi) in enumerate(zip(stream.ranks, stream.ranks[1:]))
+            ])
+            assert np.array_equal(bits(got), bits(want)), key
+
+
+    @OVERFLOW
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.lists(KEYED_VALUES | st.just(-0.0), min_size=1, max_size=12),
+        runs=st.integers(min_value=3, max_value=8),
+        addends=st.integers(min_value=1, max_value=3),
+        width=st.integers(min_value=1, max_value=30),
+        data=st.data(),
+    )
+    @example(seed=[0.0, -0.0, 0.5, 0.5], runs=8, addends=3, width=4, data=None)
+    def test_many_run_pieces_equal_their_stable_sort(self, seed, runs, addends, width, data):
+        # A piece of more than two runs on an int64 key takes the default
+        # sort; equal keys are equal bits, so it equals the stable sort, and
+        # so does the same piece sorted as floats. A run of several addends
+        # adds them in turn, its zero addends dropped where it has a nonzero
+        # one; the reference adds every addend.
+        s = np.sort(np.array(seed), kind="stable")
+        if data is None:
+            f = np.array([[a, b, c] for a in (0.0, 0.5) for b in (0.0, 1.0) for c in (0.0, 0.5)])
+        else:
+            draw = st.lists(KEYED_VALUES, min_size=runs * addends, max_size=runs * addends)
+            f = np.array(data.draw(draw)).reshape(runs, addends).squeeze(axis=1 if addends == 1 else ())
+        sums = []
+        for run in f.reshape(len(f), -1):
+            x = s
+            for c in run:
+                x = x + c
+            sums.append(x)
+        want = np.sort(np.concatenate(sums), kind="stable")
         stream = spectra._stream(s, f, width)
         for key in (np.int64, np.float64):
             forced = stream._replace(key=key)
