@@ -504,14 +504,14 @@ def _cell_costs(energies: _Stream, states: list, width: int, n: int) -> list:
 
 def _fold(s: np.ndarray, f: np.ndarray, out: np.ndarray) -> np.ndarray:
     # Sorted multiset of the runs' sums over the sorted s, written into out:
-    # c + x for each value c of a one-dimensional f, or ((x + a) + b) + c
-    # for each row (a, b, c) of a two-dimensional one (see _add_runs). Each
-    # run is sorted, because x -> x + c is monotone in IEEE-754, and a sort
-    # merges them (see _write_chunk). The fold is planned as the walk is,
-    # after Odeh et al., "Merge Path", IPDPS Workshops 2012: pivots come
-    # from a strided sample, and one bisection finds each pivot's exact rank
-    # in every run. Every 16th pivot (or the last, for a one-window stream)
-    # bounds a chunk of about _CHUNK values, at least one per part where the
+    # ((a + x) + b) + c for each row (a, b, c) of f, or a + x for each value
+    # a of a one-dimensional f (see _add_runs). Each run is sorted, because
+    # x -> x + c is monotone in IEEE-754, and a sort merges them (see
+    # _write_chunk). The fold is planned as the walk is, after Odeh et al.,
+    # "Merge Path", IPDPS Workshops 2012: pivots come from a strided sample,
+    # and one bisection finds each pivot's exact rank in every run. Every
+    # 16th pivot (or the last, for a one-window stream) bounds a chunk of
+    # about _CHUNK values, at least one per part where the
     # values allow, and each chunk is written and sorted in its own slice of
     # out, so a sort's buffer is at most about half a chunk. _run_parts
     # shares the chunks out, one unit of cost each. All copies of a value (a
@@ -536,13 +536,12 @@ def _fold(s: np.ndarray, f: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _add_runs(f: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    # Each run's sums over x, indexed [run, x's last axis]: c + x for each
-    # value c of a one-dimensional f, and for each row (a, b, c) of a
-    # two-dimensional one ((x + a) + b) + c, added left to right as a chain
-    # of one-value folds adds them.
-    if f.ndim == 1:
-        return np.add(f[:, None], x, out=out)
-    out = np.add(x, f[:, :1], out=out)
+    # Each run's sums over x, indexed [run, x's last axis]: for each row
+    # (a, b, c) of f, ((a + x) + b) + c, added left to right as a chain of
+    # one-value folds adds them, and a + x for each value a of a
+    # one-dimensional f.
+    f = f.reshape(len(f), -1)
+    out = np.add(f[:, :1], x, out=out)
     for j in range(1, f.shape[1]):
         np.add(out, f[:, j : j + 1], out=out)
     return out
@@ -582,18 +581,12 @@ def _stream(s: np.ndarray, f: np.ndarray, width: int) -> _Stream:
     # Where every addend and s[0] is +0.0 or above and s holds no NaN, each
     # sum is too (+0.0 + -0.0 is +0.0), and such doubles sort as their bit
     # patterns do, ties included: an int64 sort skips the NaN-aware float
-    # compare and gives the same bits. A run of one addend is written as
-    # it is; a longer run's zero addends are dropped where it has a nonzero
-    # one, which erases a zero's sign wherever it is added, so every sum
-    # keeps its bits.
-    size = len(f) * s.size
-    addends = f.ravel().tolist()
-    clear = all(x >= 0.0 and math.copysign(1.0, x) > 0.0 for x in [float(s[0]), *addends])
+    # compare and gives the same bits.
+    f = f.reshape(len(f), -1)
+    size, values = len(f) * s.size, list(map(tuple, f.tolist()))
+    addends = [float(s[0]), *chain.from_iterable(values)]
+    clear = all(x >= 0.0 and math.copysign(1.0, x) > 0.0 for x in addends)
     key = np.int64 if clear and not math.isnan(s[-1]) else np.float64
-    if f.ndim == 1:
-        values = list(zip(addends))
-    else:
-        values = [tuple(c for c in run if c) or tuple(run) for run in f.tolist()]
     if size <= width:
         return _Stream(s, values, [[0] * len(f), [s.size] * len(f)], [0, size], size, key)
     count = 16 * -(-size // width)
@@ -628,7 +621,8 @@ def _write_chunk(stream: _Stream, a: int, b: int, out: np.ndarray) -> np.ndarray
     # stable sort would give them, and so are two runs, which timsort merges
     # in linear time. Equal int64 keys have equal bits, so a piece of more
     # runs takes numpy's default sort (introsort, vectorised where the CPU
-    # allows), which is faster at three runs or more.
+    # allows): a many-level walk is level at three runs and faster from
+    # five (many_level_walk_ms in BENCH_grouped_bath.json).
     pos = 0
     for run, lo, hi in zip(stream.values, stream.edges[a], stream.edges[b]):
         piece = out[pos : pos + hi - lo]

@@ -133,6 +133,10 @@ class TestParseErrors:
              "sweep.range: N values must be integers >= 0, got 1.5"),
             ({"parameter": "sigma_over_omega", "range": {"from": -1, "to": 1, "steps": 3}},
              "sweep.range: sigma_over_omega values must be > 0, got -1.0"),
+            # A bad endpoint is reported before any value is built: the
+            # "to" of 4.5, not the first value past "from", 0.5.
+            ({"parameter": "N", "range": {"from": 0, "to": 4.5, "steps": 10}},
+             "sweep.range: N values must be integers >= 0, got 4.5"),
         ],
     )
     def test_sweep_value_errors_name_the_field_written(self, sweep, message):

@@ -1212,8 +1212,7 @@ class TestIntegerKeys:
         # A piece of more than two runs on an int64 key takes the default
         # sort; equal keys are equal bits, so it equals the stable sort, and
         # so does the same piece sorted as floats. A run of several addends
-        # adds them in turn, its zero addends dropped where it has a nonzero
-        # one; the reference adds every addend.
+        # adds them in turn, as the reference does.
         s = np.sort(np.array(seed), kind="stable")
         if data is None:
             f = np.array([[a, b, c] for a in (0.0, 0.5) for b in (0.0, 1.0) for c in (0.0, 0.5)])
