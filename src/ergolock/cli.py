@@ -162,7 +162,7 @@ def _cmd_rows(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    summary = run_verification(args.trials, args.seed, args.max_dim)
+    summary = run_verification(args.trials, args.seed)
     _write_output(json.dumps(summary, indent=2) + "\n", args.out)
     return 0 if summary["pass"] else 1
 
@@ -209,8 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run the seeded verification suite")
     verify.add_argument("--trials", type=int, default=200, help="trials per check")
     verify.add_argument("--seed", type=_seed, default=42)
-    verify.add_argument("--max-dim", type=int, default=64,
-                        help="largest joint dimension for dense comparisons")
     verify.add_argument("--out", default=None, help="summary JSON file (default: stdout)")
     return parser
 

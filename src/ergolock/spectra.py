@@ -114,42 +114,31 @@ def _parts(size: int) -> int:
 def _split(costs: list, parts: int) -> list:
     # Bounds of parts contiguous runs of items: part k takes items bounds[k]
     # to bounds[k + 1]. A bisection finds the least cap on a part's cost that
-    # greedy filling meets, the least any split allows. Each inner bound then
-    # sits nearest to k / parts of the total cost, moved only as far as it
-    # must be for its part and the later parts to stay within the cap.
+    # greedy filling meets, the least any split allows, and the parts are
+    # filled greedily under it.
     sums, n = list(accumulate(costs, initial=0)), len(costs)
 
-    def reach(start: int, cap: float, count: int) -> int:
-        # The end of count parts of at most cap, filled greedily from start;
-        # it never decreases as start or cap grows. A part costs the
-        # difference of its prefix sums, as it is compared here.
-        for _ in range(count):
-            base = sums[start]
-            start = bisect_right(sums, cap, start, key=lambda total: total - base) - 1
-        return start
+    def fill(cap: float) -> list:
+        # Each part takes items from the end of the last while it stays
+        # within cap; a part costs the difference of its prefix sums, as it
+        # is compared here. The last bound never decreases as cap grows.
+        bounds = [0]
+        for _ in range(parts):
+            base = sums[bounds[-1]]
+            bounds.append(bisect_right(sums, cap, bounds[-1], key=lambda total: total - base) - 1)
+        return bounds
 
     low, cap = 0.0, sums[-1]
     while low < (guess := (low + cap) / 2) < cap:
-        low, cap = (low, guess) if reach(0, guess, parts) == n else (guess, cap)
-    bounds = [0]
-    for k in range(1, parts):
-        target = sums[-1] * k / parts
-        j = bisect_left(sums, target)
-        j -= target - sums[j - 1] < sums[j] - target
-        start = bounds[-1]
-        last = reach(start, cap, 1)
-        first = start + bisect_left(
-            range(start, last), True, key=lambda i: reach(i, cap, parts - k) == n
-        )
-        bounds.append(min(max(j, first), last))
-    return [*bounds, n]
+        low, cap = (low, guess) if fill(guess)[-1] == n else (guess, cap)
+    return fill(cap)
 
 
 def _run_parts(task: Callable[[int, int], Any], costs: list, size: int) -> list:
     """``task(first, stop)`` of each part, in order: the items of these
-    ``costs`` in ``min(_parts(size), len(costs))`` contiguous runs, of about
-    equal cost (:func:`_split`), or in one. Part 0 runs on the caller, the
-    others on one shared thread pool, created on first use.
+    ``costs`` in ``min(_parts(size), len(costs))`` contiguous runs whose
+    largest costs the least any split allows (:func:`_split`), or in one.
+    Part 0 runs on the caller, the others on one shared thread pool.
 
     The parts run numpy calls that release the GIL, so they overlap. Pool
     workers never submit to the pool, so a caller that is itself a thread of
@@ -266,8 +255,8 @@ class DensityOperator:
 
     def __post_init__(self):
         entries = np.array(self.entries, dtype=np.complex128, copy=True)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise ValueError("density operator must be a square matrix")
+        if entries.ndim != 2 or entries.shape[0] != entries.shape[1] or entries.size == 0:
+            raise ValueError("density operator must be a non-empty square matrix")
         if not np.isfinite(entries).all():
             raise ValueError("density operator entries must be finite")
         herm_defect = float(np.abs(entries - entries.conj().T).max())
@@ -429,17 +418,17 @@ def passive_energies(
     probabilities ``exp(key * -1/T)`` block by block, and the block partials
     are taken from their products with the window's sorted energies. Each
     part of :func:`_run_parts` takes a contiguous run of cells in
-    window-major order, of about an equal share of their estimated cost
-    (:func:`_cell_costs`), and sorts a window's energies once, at its first
-    cell of that window with products. Ranks past a state's nonzero products
-    (a zero eigenvalue's) hold ``+0.0`` products in their last block, and
-    later blocks are left out. On either path the value equals
-    ``compensated_dot`` over the whole sorted arrays, the keys mapped the
-    same way, bit for bit, however the cells are shared out: each state's
-    partials (:func:`_block_sums`) are summed with ``math.fsum``. The planned
-    walk merges the keys, and energies of non-negative levels, as int64 bit
-    patterns. Every state's full joint size is checked against the cap
-    before anything is built.
+    window-major order, of at most an equal share of their estimated cost
+    (:func:`_cell_costs`) plus one cell's, and sorts a window's energies
+    once, at its first cell of that window with products. Ranks past a
+    state's nonzero products (a zero eigenvalue's) hold ``+0.0`` products
+    in their last block, and later blocks are left out. On either path the
+    value equals ``compensated_dot`` over the whole sorted arrays, the keys
+    mapped the same way, bit for bit, however the cells are shared out: each
+    state's partials (:func:`_block_sums`) are summed with ``math.fsum``.
+    The planned walk merges the keys, and energies of non-negative levels,
+    as int64 bit patterns. Every state's full joint size is checked against
+    the cap before anything is built.
     """
     _check_cap(max(map(len, [levels, *eigenvalues])), len(gaps))
     # Every energy and T are scaled by the exact power of two that keeps T

@@ -582,8 +582,11 @@ class TestCliProcess:
     def test_verify_zero_trials_refused(self, capsys):
         assert main(["verify", "--trials", "0"]) == 2
 
-    def test_verify_max_dim_cap(self, capsys):
-        assert main(["verify", "--trials", "5", "--max-dim", "128"]) == 2
+    def test_verify_refuses_max_dim_as_an_unknown_option(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--trials", "5", "--max-dim", "64"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --max-dim 64" in capsys.readouterr().err
 
 
 class TestMutationSensitivity:

@@ -67,6 +67,11 @@ class TestTypes:
         with pytest.raises(ValueError, match="Hermitian"):
             DensityOperator(np.array([[0.5, 0.1], [0.4, 0.5]]))
 
+    @pytest.mark.parametrize("shape", [(0, 0), (2, 3), (2, 2, 2), (2,)])
+    def test_density_operator_rejects_an_empty_or_non_square_matrix(self, shape):
+        with pytest.raises(ValueError, match="density operator must be a non-empty square matrix"):
+            DensityOperator(np.zeros(shape))
+
     def test_density_operator_rejects_bad_trace(self):
         with pytest.raises(ValueError, match="trace"):
             DensityOperator(np.eye(2))
@@ -857,19 +862,30 @@ class TestStreamedPassive:
         assert np.array_equal(bits(cut), bits(one))
         assert np.array_equal(bits(one), bits(want))
 
-    @pytest.mark.parametrize("parts", [2, 3])
-    def test_part_starting_on_a_cell_without_products(self, parts):
+    @pytest.mark.parametrize("bounds", [[0, 2, 4], [0, 1, 2, 4]])
+    def test_part_starting_on_a_cell_without_products(self, bounds):
         # Two windows of 8 ranks, cells (0, A), (0, B), (1, A), (1, B) of
-        # estimated costs 32, 32, 0 and 56: at two parts the last part
-        # starts on (1, A), whose 8 products all lie in window 0, and must
-        # still sort window 1's energies for (1, B).
+        # estimated costs 32, 32, 0 and 56. The cost split fills a part past
+        # a cell of no cost, so these bounds are forced: the last part starts
+        # on (1, A), whose 8 products all lie in window 0, and must still
+        # sort window 1's energies for (1, B).
         bath = custom_bath(1.0, [0.5, 1.0, 2.0])
         levels = np.array([0.0, 1.0])
         states = [np.array([1.0, 0.0]), np.array([0.5, 0.5])]
         assert (joint_keys(states[0], bath).size, joint_energies(levels, bath).size) == (8, 16)
-        with streamed_sizes(parts, 8, 8):
+        split, forced = spectra._split, []
+
+        def forcing(costs, parts):
+            if costs != [32, 32, 0, 56]:
+                return split(costs, parts)
+            forced.append(costs)
+            return bounds
+
+        with streamed_sizes(len(bounds) - 1, 8, 8), pytest.MonkeyPatch.context() as patch:
+            patch.setattr(spectra, "_split", forcing)
             want = [keyed_passive(values, levels, bath) for values in states]
             got = walk(states, levels, bath)
+        assert forced
         assert np.array_equal(bits(got), bits(want))
 
     @pytest.mark.parametrize("parts", [1, 2, 3, 4, 5])
@@ -1245,18 +1261,19 @@ class TestSplit:
         parts=st.integers(min_value=1, max_value=8),
     )
     @example(costs=[1, 1, 1.1, 2, 1, 0.8, 2, 1, 1.2, 2, 1, 1, 0.9], parts=4)
-    def test_parts_cover_every_cell_once_near_an_equal_share(self, costs, parts):
+    def test_parts_cover_every_cell_once_and_none_passes_an_equal_share_by_a_cell(
+        self, costs, parts
+    ):
         bounds = spectra._split(costs, parts)
         assert len(bounds) == parts + 1 and bounds[0] == 0 and bounds[-1] == len(costs)
         assert all(a <= b for a, b in zip(bounds, bounds[1:]))
         cells = [c for a, b in zip(bounds, bounds[1:]) for c in range(a, b)]
         assert cells == list(range(len(costs)))
-        # Each inner bound is the nearest to its target that the least cap
-        # allows, so each part costs total / parts to within the largest
-        # cell, and on two parts the two differ by at most that.
+        # Under the least cap no part costs more than total / parts plus the
+        # largest cell, and on two parts the two differ by at most that cell.
         largest, total = max(costs, default=0), sum(costs)
         shares = [sum(costs[a:b]) for a, b in zip(bounds, bounds[1:])]
-        assert all(abs(share - total / parts) <= largest + 1e-9 for share in shares)
+        assert all(share - total / parts <= largest + 1e-9 for share in shares)
         if parts == 2:
             assert abs(shares[0] - shares[1]) <= largest + 1e-9
 
@@ -1291,5 +1308,5 @@ class TestSplit:
         assert costs == [8 + 24, 32, 0, 32 + 24]
 
     def test_equal_costs_share_by_count(self):
-        assert spectra._split([1] * 10, 3) == [0, 3, 7, 10]
-        assert spectra._split([1] * 2, 5) == [0, 0, 1, 1, 2, 2]
+        assert spectra._split([1] * 10, 3) == [0, 4, 8, 10]
+        assert spectra._split([1] * 2, 5) == [0, 1, 2, 2, 2, 2]
